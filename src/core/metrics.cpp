@@ -112,21 +112,23 @@ void PipelineMetrics::on_cycle_end(const CycleReport& report) {
     gap_ms_sum_ += util::to_millis(*report.interphase_gap);
     ++gap_cycles_;
   }
+  ++cycles_;
+  if (per_cycle_.size() == kPerCycleHistory) per_cycle_.pop_front();
   per_cycle_.push_back(current_);
   current_ = CycleMetrics{};
 }
 
 PipelineMetricsSnapshot PipelineMetrics::snapshot() const {
   PipelineMetricsSnapshot snap;
-  snap.cycles = per_cycle_.size();
+  snap.cycles = cycles_;
   snap.read_all_cycles = read_all_cycles_;
   snap.degraded_cycles = degraded_cycles_;
   snap.health = health_;
   snap.phase1_readings = phase1_readings_;
   snap.phase2_readings = phase2_readings_;
   snap.slot_totals = slot_totals_;
-  if (!per_cycle_.empty()) {
-    const double n = static_cast<double>(per_cycle_.size());
+  if (cycles_ > 0) {
+    const double n = static_cast<double>(cycles_);
     snap.mean_scene = scene_sum_ / n;
     snap.mean_targets = target_sum_ / n;
   }
@@ -134,7 +136,7 @@ PipelineMetricsSnapshot PipelineMetrics::snapshot() const {
     snap.mean_interphase_gap_ms =
         gap_ms_sum_ / static_cast<double>(gap_cycles_);
   }
-  snap.per_cycle = per_cycle_;
+  snap.per_cycle.assign(per_cycle_.begin(), per_cycle_.end());
   if (pipeline_ != nullptr) snap.sinks = pipeline_->stats();
   return snap;
 }

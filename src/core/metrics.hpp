@@ -84,7 +84,8 @@ struct PipelineMetricsSnapshot {
   double mean_targets = 0.0;
   /// Mean inter-phase gap over cycles that reported one, in milliseconds.
   double mean_interphase_gap_ms = 0.0;
-  /// Per-cycle breakdown, in cycle order.
+  /// Per-cycle breakdown of the last PipelineMetrics::kPerCycleHistory
+  /// cycles (all of them on shorter runs), in cycle order.
   std::vector<CycleMetrics> per_cycle;
   /// Per-sink delivery accounting of the observed pipeline (empty unless
   /// observe() was called).  Every sink sees every reading, so each sink's
@@ -102,6 +103,11 @@ struct PipelineMetricsSnapshot {
 /// snapshot() for tools and benches.
 class PipelineMetrics final : public ReadingSink {
  public:
+  /// Cycles kept in the per-cycle breakdown; older ones roll off, so the
+  /// sink's memory stays bounded over unbounded uptime.  Totals, means and
+  /// the cycle count still cover every cycle.
+  static constexpr std::size_t kPerCycleHistory = 1024;
+
   std::string_view name() const override { return "metrics"; }
 
   bool on_reading(const rf::TagReading& reading,
@@ -126,7 +132,8 @@ class PipelineMetrics final : public ReadingSink {
   double target_sum_ = 0.0;
   double gap_ms_sum_ = 0.0;
   std::uint64_t gap_cycles_ = 0;
-  std::vector<CycleMetrics> per_cycle_;
+  std::uint64_t cycles_ = 0;
+  std::deque<CycleMetrics> per_cycle_;  ///< The last kPerCycleHistory.
   CycleMetrics current_;
 };
 

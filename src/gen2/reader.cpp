@@ -1,22 +1,119 @@
 #include "gen2/reader.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <stdexcept>
+
+#include "util/simd.hpp"
 
 namespace tagwatch::gen2 {
 
 namespace {
 
-/// Sentinel slot value for collided tags: per Gen2, a tag whose counter is 0
-/// and that receives QueryRep without having been acknowledged wraps its
-/// counter and effectively leaves the frame until the next Query/QueryAdjust.
-constexpr std::uint32_t kParkedSlot = 0x7FFF;
-
 std::uint8_t clamp_q(double qfp) {
   return static_cast<std::uint8_t>(std::lround(std::clamp(qfp, 0.0, 15.0)));
 }
+
+/// The arbitrating participants of one ALOHA round and their slot
+/// counters, indexed so that a slot costs O(1 + responders).
+///
+/// A Gen2 tag decrements its counter on every QueryRep and replies at
+/// zero.  Rather than decrementing every counter each slot, a draw records
+/// each participant's counter once and `pos_` counts the QueryReps since:
+/// a participant replies in the slot where pos_ equals its counter.  A
+/// collided tag that was not acknowledged wraps its counter and is silent
+/// until the next Query/QueryAdjust ("parked"); here that needs no state,
+/// because its counter is already behind pos_.
+///
+/// Only the counters in a short window [base_, base_ + kWindow) are
+/// bucketed, sorted by (counter, participant index) — the responder order
+/// the capture tie-break relies on.  Q-adaptive rounds redraw every few
+/// slots, so the window is refilled only when a frame outlives it.  A read
+/// tag is tombstoned and removed, in order, at the next draw; swap-removal
+/// would reorder the next draw's counters.
+class SlotFrame {
+ public:
+  static constexpr std::uint32_t kWindow = 32;
+
+  explicit SlotFrame(std::vector<std::size_t> tags)
+      : tags_(std::move(tags)), live_(tags_.size()) {}
+
+  /// Participants not yet read.
+  std::size_t live() const noexcept { return live_; }
+  /// Participants not yet read whose slot is still ahead (not parked).
+  std::size_t active() const noexcept { return active_; }
+  /// World tag index of participant `part`.
+  std::size_t tag(std::uint32_t part) const { return tags_[part]; }
+
+  /// Draws a counter in [0, frame) for every unread participant, parked
+  /// ones included, in participant order; opens the frame at slot 0.
+  void draw(util::Rng& rng, std::uint32_t frame) {
+    if (live_ != tags_.size()) {
+      tags_.erase(std::remove(tags_.begin(), tags_.end(), kRead),
+                  tags_.end());
+    }
+    counter_.resize(tags_.size());
+    rng.below_n(counter_.data(), counter_.size(), frame);
+    pos_ = 0;
+    active_ = live_;
+    fill_window();
+  }
+
+  /// The participants replying in the current slot, ascending.
+  std::span<const std::uint32_t> responders() {
+    if (pos_ - base_ >= kWindow) fill_window();
+    const std::uint32_t b = pos_ - base_;
+    return {window_.data() + start_[b], window_.data() + start_[b + 1]};
+  }
+
+  /// Acknowledges participant `part`: it leaves the round.
+  void mark_read(std::uint32_t part) {
+    tags_[part] = kRead;
+    --live_;
+  }
+
+  /// QueryRep: closes the current slot, whose `responders` were each
+  /// either read or parked.
+  void next_slot(std::size_t responders) {
+    active_ -= responders;
+    ++pos_;
+  }
+
+ private:
+  static constexpr std::size_t kRead = std::numeric_limits<std::size_t>::max();
+
+  /// Buckets the counters in [pos_, pos_ + kWindow).  Read and parked
+  /// participants have counters behind pos_ and drop out by themselves.
+  void fill_window() {
+    base_ = pos_;
+    hits_.resize(counter_.size());
+    hits_.resize(util::simd::window_indices_u32(
+        counter_.data(), counter_.size(), base_, kWindow, hits_.data()));
+    // Stable counting sort of the hits by counter.
+    start_.fill(0);
+    for (const std::uint32_t i : hits_) ++start_[counter_[i] - base_ + 1];
+    for (std::uint32_t b = 0; b < kWindow; ++b) start_[b + 1] += start_[b];
+    std::array<std::uint32_t, kWindow> cursor{};
+    std::copy(start_.begin(), start_.end() - 1, cursor.begin());
+    window_.resize(hits_.size());
+    for (const std::uint32_t i : hits_) {
+      window_[cursor[counter_[i] - base_]++] = i;
+    }
+  }
+
+  std::vector<std::size_t> tags_;       ///< World tag index, or kRead.
+  std::vector<std::uint32_t> counter_;  ///< Slot drawn at the last draw.
+  std::size_t live_;
+  std::size_t active_ = 0;
+  std::uint32_t pos_ = 0;   ///< QueryReps since the last draw.
+  std::uint32_t base_ = 0;  ///< First frame position the window covers.
+  std::vector<std::uint32_t> hits_;    ///< fill_window() workspace.
+  std::vector<std::uint32_t> window_;  ///< Participants by (counter, index).
+  std::array<std::uint32_t, kWindow + 1> start_{};  ///< Bucket offsets.
+};
 
 }  // namespace
 
@@ -71,10 +168,10 @@ void Gen2Reader::set_active_antenna(std::size_t index) {
   antenna_idx_ = index;
 }
 
-std::vector<Gen2Reader::Participant> Gen2Reader::gather_participants(
+std::vector<std::size_t> Gen2Reader::gather_participants(
     const QueryCommand& query) {
   flags_->sync(*world_);
-  std::vector<Participant> parts;
+  std::vector<std::size_t> parts;
   const util::SimTime t = world_->now();
   const std::vector<sim::SimTag>& tags = world_->tags();
   for (std::size_t i = 0; i < tags.size(); ++i) {
@@ -88,17 +185,9 @@ std::vector<Gen2Reader::Participant> Gen2Reader::gather_participants(
     if (tag.block_probability > 0.0 && rng_.chance(tag.block_probability)) {
       continue;
     }
-    parts.push_back({i, 0, false});
+    parts.push_back(i);
   }
   return parts;
-}
-
-void Gen2Reader::redraw_slots(std::vector<Participant>& parts,
-                              std::uint32_t frame_size) {
-  for (auto& p : parts) {
-    p.slot = rng_.below(std::max<std::uint32_t>(frame_size, 1));
-    p.parked = false;
-  }
 }
 
 void Gen2Reader::hop_if_due() {
@@ -131,8 +220,20 @@ rf::TagReading Gen2Reader::make_reading(std::size_t tag_index) {
                         obs.phase_rad, obs.rssi_dbm, t};
 }
 
+void Gen2Reader::acknowledge(std::size_t tag_index, const QueryCommand& query,
+                             const ReadCallback& on_read,
+                             RoundStats& stats) {
+  TagFlags& flags = flags_->at(tag_index);
+  const util::Epc& epc = world_->tags()[tag_index].epc;
+  world_->advance(timing_.success_slot(reply_bits(epc, flags)));
+  ++stats.success_slots;
+  // Acknowledged tag inverts its inventoried flag for this session.
+  flags.toggle_session_flag(query.session, world_->now(), flags_->timing());
+  if (on_read) on_read(make_reading(tag_index));
+}
+
 void Gen2Reader::run_binary_tree(const QueryCommand& query,
-                                 const std::vector<Participant>& parts,
+                                 std::vector<std::size_t> parts,
                                  const ReadCallback& on_read,
                                  RoundStats& stats) {
   // Capetanakis-style tree splitting: the whole population answers the
@@ -140,12 +241,7 @@ void Gen2Reader::run_binary_tree(const QueryCommand& query,
   // random into two subsets resolved depth-first.  Slot air times are the
   // same as for ALOHA (probe + reply windows).
   std::vector<std::vector<std::size_t>> stack;  // groups of tag indexes
-  {
-    std::vector<std::size_t> all;
-    all.reserve(parts.size());
-    for (const auto& p : parts) all.push_back(p.tag_index);
-    stack.push_back(std::move(all));
-  }
+  stack.push_back(std::move(parts));
   while (!stack.empty() && stats.slots < config_.max_slots_per_round) {
     std::vector<std::size_t> group = std::move(stack.back());
     stack.pop_back();
@@ -157,7 +253,6 @@ void Gen2Reader::run_binary_tree(const QueryCommand& query,
       continue;
     }
     if (group.size() == 1) {
-      const std::size_t tag_index = group.front();
       const bool lost = config_.slot_error_rate > 0.0 &&
                         rng_.chance(config_.slot_error_rate);
       if (lost) {
@@ -167,13 +262,7 @@ void Gen2Reader::run_binary_tree(const QueryCommand& query,
         stack.push_back(std::move(group));
         continue;
       }
-      TagFlags& flags = flags_->at(tag_index);
-      const util::Epc& epc = world_->tags()[tag_index].epc;
-      world_->advance(timing_.success_slot(reply_bits(epc, flags)));
-      ++stats.success_slots;
-      flags.toggle_session_flag(query.session, world_->now(),
-                                flags_->timing());
-      if (on_read) on_read(make_reading(tag_index));
+      acknowledge(group.front(), query, on_read, stats);
       continue;
     }
     world_->advance(timing_.collision_slot());
@@ -197,10 +286,10 @@ RoundStats Gen2Reader::run_inventory_round(const QueryCommand& query,
   world_->advance(config_.round_overhead);
   world_->advance(timing_.query());
 
-  auto parts = gather_participants(query);
+  std::vector<std::size_t> parts = gather_participants(query);
 
   if (config_.policy == AntiCollisionPolicy::kBinaryTree) {
-    run_binary_tree(query, parts, on_read, stats);
+    run_binary_tree(query, std::move(parts), on_read, stats);
     stats.duration = world_->now() - round_start;
     return stats;
   }
@@ -209,28 +298,23 @@ RoundStats Gen2Reader::run_inventory_round(const QueryCommand& query,
                    ? *persisted_qfp_
                    : static_cast<double>(query.q);
   std::uint8_t q = clamp_q(qfp);
-  if (config_.policy == AntiCollisionPolicy::kIdealDfsa) {
-    // Oracle: frame length equals the number of competing tags.
-    redraw_slots(parts, static_cast<std::uint32_t>(
-                            std::max<std::size_t>(parts.size(), 1)));
-  } else {
-    redraw_slots(parts, 1u << q);
-  }
-
-  std::size_t slots_left_in_frame =
-      (config_.policy == AntiCollisionPolicy::kIdealDfsa)
-          ? std::max<std::size_t>(parts.size(), 1)
-          : (std::size_t{1} << q);
-
-  const auto remaining_active = [&parts] {
-    return static_cast<std::size_t>(
-        std::count_if(parts.begin(), parts.end(),
-                      [](const Participant& p) { return !p.parked; }));
+  SlotFrame frame(std::move(parts));
+  // Oracle DFSA: frame length equals the number of competing tags.
+  const auto dfsa_frame = [&frame] {
+    return static_cast<std::uint32_t>(std::max<std::size_t>(frame.live(), 1));
   };
+  std::size_t slots_left_in_frame;
+  if (config_.policy == AntiCollisionPolicy::kIdealDfsa) {
+    slots_left_in_frame = dfsa_frame();
+    frame.draw(rng_, dfsa_frame());
+  } else {
+    slots_left_in_frame = std::size_t{1} << q;
+    frame.draw(rng_, 1u << q);
+  }
 
   while (stats.slots < config_.max_slots_per_round) {
     // Round termination.
-    if (parts.empty()) {
+    if (frame.live() == 0) {
       if (config_.policy == AntiCollisionPolicy::kQAdaptive) {
         // The reader does not know the population is exhausted: it keeps
         // issuing slots, decaying Q on each empty one, until Q reaches 0 and
@@ -249,24 +333,22 @@ RoundStats Gen2Reader::run_inventory_round(const QueryCommand& query,
     }
     // FSA/Q-adaptive can deadlock if every remaining tag is parked; a frame
     // restart (new Query) un-parks them.
-    if (remaining_active() == 0 || slots_left_in_frame == 0) {
+    if (frame.active() == 0 || slots_left_in_frame == 0) {
       switch (config_.policy) {
         case AntiCollisionPolicy::kFixedQ:
           world_->advance(timing_.query());
-          redraw_slots(parts, 1u << q);
+          frame.draw(rng_, 1u << q);
           slots_left_in_frame = 1u << q;
           break;
-        case AntiCollisionPolicy::kIdealDfsa: {
-          const auto f = static_cast<std::uint32_t>(parts.size());
+        case AntiCollisionPolicy::kIdealDfsa:
           world_->advance(timing_.query());
-          redraw_slots(parts, std::max(f, 1u));
-          slots_left_in_frame = std::max(f, 1u);
+          frame.draw(rng_, dfsa_frame());
+          slots_left_in_frame = dfsa_frame();
           break;
-        }
         case AntiCollisionPolicy::kQAdaptive:
           world_->advance(timing_.query_adjust());
           q = clamp_q(qfp);
-          redraw_slots(parts, 1u << q);
+          frame.draw(rng_, 1u << q);
           slots_left_in_frame = config_.max_slots_per_round;  // no frame bound
           break;
         case AntiCollisionPolicy::kBinaryTree:
@@ -277,23 +359,19 @@ RoundStats Gen2Reader::run_inventory_round(const QueryCommand& query,
 
     hop_if_due();
 
-    // Identify this slot's responders.
-    std::vector<std::size_t> responders;  // indexes into parts
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      if (!parts[i].parked && parts[i].slot == 0) responders.push_back(i);
-    }
+    const std::span<const std::uint32_t> responders = frame.responders();
+    const std::size_t n_responders = responders.size();
 
     ++stats.slots;
     --slots_left_in_frame;
 
-    if (responders.empty()) {
+    if (n_responders == 0) {
       world_->advance(timing_.empty_slot());
       ++stats.empty_slots;
       if (config_.policy == AntiCollisionPolicy::kQAdaptive) {
         qfp = std::max(0.0, qfp - config_.q_step);
       }
-    } else if (responders.size() == 1) {
-      const std::size_t pi = responders.front();
+    } else if (n_responders == 1) {
       const bool lost = config_.slot_error_rate > 0.0 &&
                         rng_.chance(config_.slot_error_rate);
       if (lost) {
@@ -301,63 +379,34 @@ RoundStats Gen2Reader::run_inventory_round(const QueryCommand& query,
         // no valid ACK, so it parks like a collided tag.
         world_->advance(timing_.collision_slot());
         ++stats.lost_slots;
-        parts[pi].slot = kParkedSlot;
-        parts[pi].parked = true;
       } else {
-        const std::size_t tag_index = parts[pi].tag_index;
-        TagFlags& flags = flags_->at(tag_index);
-        const util::Epc& epc = world_->tags()[tag_index].epc;
-        world_->advance(timing_.success_slot(reply_bits(epc, flags)));
-        ++stats.success_slots;
-        // Acknowledged tag inverts its inventoried flag for this session.
-        flags.toggle_session_flag(query.session, world_->now(),
-                                  flags_->timing());
-        if (on_read) on_read(make_reading(tag_index));
-        parts.erase(parts.begin() + static_cast<std::ptrdiff_t>(pi));
+        acknowledge(frame.tag(responders.front()), query, on_read, stats);
+        frame.mark_read(responders.front());
       }
     } else {
       // Capture effect: the receiver may still lock onto the strongest
-      // (nearest) responder and read it as if the slot were singular.
-      bool captured = false;
+      // (nearest) responder and read it as if the slot were singular; the
+      // losers park as in a plain collision.
       if (config_.capture_probability > 0.0 &&
           rng_.chance(config_.capture_probability)) {
-        std::size_t strongest = responders.front();
+        std::uint32_t strongest = responders.front();
         double best_d = std::numeric_limits<double>::infinity();
         const util::SimTime t = world_->now();
         const std::vector<sim::SimTag>& tags = world_->tags();
-        for (const std::size_t pi : responders) {
-          const double d = util::distance(
-              antennas_[antenna_idx_].position,
-              tags[parts[pi].tag_index].motion->position(t));
+        for (const std::uint32_t pi : responders) {
+          const double d =
+              util::distance(antennas_[antenna_idx_].position,
+                             tags[frame.tag(pi)].motion->position(t));
           if (d < best_d) {
             best_d = d;
             strongest = pi;
           }
         }
-        const std::size_t tag_index = parts[strongest].tag_index;
-        TagFlags& flags = flags_->at(tag_index);
-        const util::Epc& epc = tags[tag_index].epc;
-        world_->advance(timing_.success_slot(reply_bits(epc, flags)));
-        ++stats.success_slots;
-        flags.toggle_session_flag(query.session, world_->now(),
-                                  flags_->timing());
-        if (on_read) on_read(make_reading(tag_index));
-        // The captured tag leaves; the losers park as in a plain collision.
-        for (const std::size_t pi : responders) {
-          if (pi == strongest) continue;
-          parts[pi].slot = kParkedSlot;
-          parts[pi].parked = true;
-        }
-        parts.erase(parts.begin() + static_cast<std::ptrdiff_t>(strongest));
-        captured = true;
-      }
-      if (!captured) {
+        acknowledge(frame.tag(strongest), query, on_read, stats);
+        frame.mark_read(strongest);
+      } else {
         world_->advance(timing_.collision_slot());
         ++stats.collision_slots;
-        for (const std::size_t pi : responders) {
-          parts[pi].slot = kParkedSlot;
-          parts[pi].parked = true;
-        }
       }
       if (config_.policy == AntiCollisionPolicy::kQAdaptive) {
         qfp = std::min(15.0, qfp + config_.q_step);
@@ -365,27 +414,24 @@ RoundStats Gen2Reader::run_inventory_round(const QueryCommand& query,
     }
 
     // QueryRep: every un-parked, un-read tag decrements its counter.
-    for (auto& p : parts) {
-      if (!p.parked && p.slot > 0) --p.slot;
-    }
+    frame.next_slot(n_responders);
 
     // Q-adaptive mid-round adjustment: when round(Qfp) drifts from Q, the
     // reader issues QueryAdjust and all arbitrating tags (parked included)
     // re-draw from the new frame.
     if (config_.policy == AntiCollisionPolicy::kQAdaptive &&
-        clamp_q(qfp) != q && !parts.empty()) {
+        clamp_q(qfp) != q && frame.live() > 0) {
       world_->advance(timing_.query_adjust());
       q = clamp_q(qfp);
-      redraw_slots(parts, 1u << q);
+      frame.draw(rng_, 1u << q);
     }
     // Ideal DFSA restarts the frame after every success so that f always
     // equals the remaining population (§2.2's optimal scheme).
     if (config_.policy == AntiCollisionPolicy::kIdealDfsa &&
-        !responders.empty() && !parts.empty()) {
-      const auto f = static_cast<std::uint32_t>(parts.size());
+        n_responders > 0 && frame.live() > 0) {
       world_->advance(timing_.query());
-      redraw_slots(parts, std::max(f, 1u));
-      slots_left_in_frame = std::max(f, 1u);
+      frame.draw(rng_, dfsa_frame());
+      slots_left_in_frame = dfsa_frame();
     }
   }
 

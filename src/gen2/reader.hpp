@@ -113,6 +113,11 @@ class Gen2Reader {
   /// Runs one full inventory round opened by `query`, reporting each
   /// successful read through `on_read`.  Advances the simulation clock by
   /// the round's total duration (including round_overhead).
+  ///
+  /// Host cost: O(world) to gather the n participants, O(n) per frame
+  /// (re)draw — Query, QueryAdjust, or the ideal-DFSA restart — and
+  /// O(1 + responders) per slot, plus one O(n) window refill per 32 slots
+  /// of a frame that outlives its window (long FixedQ frames).
   RoundStats run_inventory_round(const QueryCommand& query,
                                  const ReadCallback& on_read);
 
@@ -150,23 +155,25 @@ class Gen2Reader {
     return flags_;
   }
 
- private:
-  struct Participant {
-    std::size_t tag_index;                 ///< Index into world tags.
-    std::uint32_t slot;                    ///< Remaining QueryReps until reply.
-    bool parked = false;                   ///< Collided; waits for re-draw.
-  };
+  /// The reader's random stream (slot counters, decode losses, capture,
+  /// channel noise) — differential tests compare its next output.
+  const util::Rng& rng() const noexcept { return rng_; }
 
+ private:
   /// True when the tag is present *and* inside this reader's coverage
   /// zone at time `t` — i.e. the reader's carrier actually energizes it.
   bool in_field(const sim::SimTag& tag, util::SimTime t) const;
-  /// Tags in the field whose flags satisfy the query's Sel/session/target.
-  std::vector<Participant> gather_participants(const QueryCommand& query);
+  /// World indexes of the tags in the field whose flags satisfy the
+  /// query's Sel/session/target, ascending.
+  std::vector<std::size_t> gather_participants(const QueryCommand& query);
   /// Tree-splitting arbitration (kBinaryTree policy).
   void run_binary_tree(const QueryCommand& query,
-                       const std::vector<Participant>& parts,
+                       std::vector<std::size_t> parts,
                        const ReadCallback& on_read, RoundStats& stats);
-  void redraw_slots(std::vector<Participant>& parts, std::uint32_t frame_size);
+  /// A successful slot for `tag_index`: reply air time, session-flag
+  /// inversion, and the reading.
+  void acknowledge(std::size_t tag_index, const QueryCommand& query,
+                   const ReadCallback& on_read, RoundStats& stats);
   void hop_if_due();
   /// EPC bits a tag actually backscatters (full, or truncated per Select).
   std::size_t reply_bits(const util::Epc& epc, const TagFlags& flags) const;

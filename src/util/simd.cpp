@@ -138,6 +138,33 @@ std::size_t scalar_strided_match_first(const double* means,
   return static_cast<std::size_t>(-1);
 }
 
+void scalar_mt64_twist(std::uint64_t* x) noexcept {
+  constexpr std::size_t n = mt64::kStateWords;
+  constexpr std::size_t m = mt64::kShift;
+  std::size_t k = 0;
+  for (; k < n - m; ++k) x[k] = mt64::twist_word(x[k], x[k + 1], x[k + m]);
+  for (; k < n - 1; ++k) x[k] = mt64::twist_word(x[k], x[k + 1], x[k + m - n]);
+  x[n - 1] = mt64::twist_word(x[n - 1], x[0], x[m - 1]);
+}
+
+void scalar_mt64_temper_shift(const std::uint64_t* words, std::size_t n,
+                              unsigned shift, std::uint32_t* out) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::uint32_t>(mt64::temper(words[i]) >> shift);
+  }
+}
+
+std::size_t scalar_window_indices_u32(const std::uint32_t* v, std::size_t n,
+                                      std::uint32_t base, std::uint32_t width,
+                                      std::uint32_t* out) noexcept {
+  std::size_t m = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    // Unsigned wrap: values below base land far above width.
+    if (v[i] - base < width) out[m++] = static_cast<std::uint32_t>(i);
+  }
+  return m;
+}
+
 constexpr KernelTable kScalarTable = {
     Isa::kScalar,
     &scalar_popcount_words,
@@ -152,6 +179,9 @@ constexpr KernelTable kScalarTable = {
     &scalar_scatter_words,
     &scalar_strided_weight_decay,
     &scalar_strided_match_first,
+    &scalar_mt64_twist,
+    &scalar_mt64_temper_shift,
+    &scalar_window_indices_u32,
 };
 
 // --------------------------------------------------------------- dispatch
@@ -264,6 +294,21 @@ std::size_t strided_match_first(const double* means, const double* stddevs,
                                 double min_stddev) noexcept {
   return resolve_active()->strided_match_first(means, stddevs, stride, n,
                                                value, band_scale, min_stddev);
+}
+
+void mt64_twist(std::uint64_t* state) noexcept {
+  resolve_active()->mt64_twist(state);
+}
+
+void mt64_temper_shift(const std::uint64_t* words, std::size_t n,
+                       unsigned shift, std::uint32_t* out) noexcept {
+  resolve_active()->mt64_temper_shift(words, n, shift, out);
+}
+
+std::size_t window_indices_u32(const std::uint32_t* v, std::size_t n,
+                               std::uint32_t base, std::uint32_t width,
+                               std::uint32_t* out) noexcept {
+  return resolve_active()->window_indices_u32(v, n, base, width, out);
 }
 
 }  // namespace tagwatch::util::simd

@@ -1,4 +1,6 @@
-// Runtime-dispatched SIMD kernels for the Phase-II planning hot loops.
+// Runtime-dispatched SIMD kernels for the Phase-II planning hot loops and
+// the Gen2 slot engine (util::Rng's MT19937-64 blocks, the slot-frame
+// window scan).
 //
 // Every kernel has two implementations — a portable scalar loop and an
 // AVX2 version — behind one function-pointer table selected at startup
@@ -6,7 +8,8 @@
 // construction: the word kernels are pure integer AND/OR/ANDNOT/popcount,
 // and the two floating-point kernels restrict themselves to elementwise
 // single-operation IEEE math (multiply; compare against max/mul products),
-// which vectorizes without reassociation.  Differential fuzz tests
+// which vectorizes without reassociation; the slot-engine kernels are
+// integer shift/AND/XOR/compare.  Differential fuzz tests
 // (test_simd.cpp) enforce the equivalence at adversarial widths, and the
 // plan-equivalence suite enforces it end to end: plans and journals are
 // byte-identical across ISAs.
@@ -133,10 +136,64 @@ std::size_t strided_match_first(const double* means, const double* stddevs,
                                 double value, double band_scale,
                                 double min_stddev) noexcept;
 
+// -------------------------------------------------- MT19937-64 kernels
+// The block operations of util::Rng's engine (util/rng.hpp) over the
+// 312-word MT19937-64 state, with the parameters of std::mt19937_64.  Both
+// implementations are 64-bit integer shift/AND/XOR only, so their output
+// is the std::mt19937_64 sequence bit for bit.
+
+namespace mt64 {
+inline constexpr std::size_t kStateWords = 312;  ///< n
+inline constexpr std::size_t kShift = 156;       ///< m
+inline constexpr std::uint64_t kMatrixA = 0xb5026f5aa96619e9ULL;
+inline constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;
+inline constexpr std::uint64_t kLowerMask = ~kUpperMask;
+
+/// One twist step: the new word from words k (`hi`), k + 1 (`lo`) and
+/// k + m mod n (`far`).
+constexpr std::uint64_t twist_word(std::uint64_t hi, std::uint64_t lo,
+                                   std::uint64_t far) noexcept {
+  const std::uint64_t y = (hi & kUpperMask) | (lo & kLowerMask);
+  // (y & 1) ? A : 0 without a branch: a coin-flip branch mispredicts
+  // half the time.
+  return far ^ (y >> 1) ^ ((std::uint64_t{0} - (y & 1)) & kMatrixA);
+}
+
+/// One output's tempering of a state word.
+constexpr std::uint64_t temper(std::uint64_t z) noexcept {
+  z ^= (z >> 29) & 0x5555555555555555ULL;
+  z ^= (z << 17) & 0x71d67fffeda60000ULL;
+  z ^= (z << 37) & 0xfff7eee000000000ULL;
+  z ^= z >> 43;
+  return z;
+}
+}  // namespace mt64
+
+/// Regenerates the kStateWords-word state block in place (the "twist"
+/// that runs once every 312 outputs).
+void mt64_twist(std::uint64_t* state) noexcept;
+
+/// out[i] = temper(words[i]) >> shift for i in [0, n), with shift in
+/// [33, 63]: the top 64 - shift bits of n consecutive outputs.  For a
+/// power-of-two range 2^q that is exactly the Lemire downscale with no
+/// rejection, so one call replaces n slot-counter draws.
+void mt64_temper_shift(const std::uint64_t* words, std::size_t n,
+                       unsigned shift, std::uint32_t* out) noexcept;
+
+// ------------------------------------------------ Gen2 slot-frame kernel
+
+/// Writes the indices i of v[0..n) with base <= v[i] < base + width
+/// (ascending) to `out` and returns how many there are; `out` must hold n
+/// entries.  The Gen2 slot frame's window fill: which participants'
+/// counters fall in the next `width` slots.
+std::size_t window_indices_u32(const std::uint32_t* v, std::size_t n,
+                               std::uint32_t base, std::uint32_t width,
+                               std::uint32_t* out) noexcept;
+
 // ------------------------------------------------------------- internals
-// The dispatch table.  Exposed so the differential tests and the
-// cycle-throughput bench can call a *specific* implementation regardless
-// of the active level; production code uses the free functions above.
+// The dispatch table.  Exposed so the differential tests and the benches
+// can call a *specific* implementation regardless of the active level;
+// production code uses the free functions above.
 struct KernelTable {
   Isa isa = Isa::kScalar;
   std::size_t (*popcount_words)(const std::uint64_t*, std::size_t) noexcept;
@@ -166,6 +223,12 @@ struct KernelTable {
   std::size_t (*strided_match_first)(const double*, const double*,
                                      std::size_t, std::size_t, double, double,
                                      double) noexcept;
+  void (*mt64_twist)(std::uint64_t*) noexcept;
+  void (*mt64_temper_shift)(const std::uint64_t*, std::size_t, unsigned,
+                            std::uint32_t*) noexcept;
+  std::size_t (*window_indices_u32)(const std::uint32_t*, std::size_t,
+                                    std::uint32_t, std::uint32_t,
+                                    std::uint32_t*) noexcept;
 };
 
 /// The scalar table (always valid).

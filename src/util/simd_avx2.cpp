@@ -8,8 +8,9 @@
 //
 // Bit-identity with the scalar kernels is by construction: the word
 // kernels are integer AND/OR/ANDNOT plus a nibble-LUT popcount (exact),
-// and the two double kernels evaluate the same elementwise IEEE
-// expressions lane-parallel with no reassociation.  test_simd.cpp fuzzes
+// the two double kernels evaluate the same elementwise IEEE expressions
+// lane-parallel with no reassociation, and the MT19937-64 kernels are the
+// scalar recurrences four words at a time.  test_simd.cpp fuzzes
 // every kernel against its scalar twin at adversarial widths.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
@@ -319,6 +320,103 @@ TAGWATCH_AVX2 std::size_t avx2_strided_match_first(
   return static_cast<std::size_t>(-1);
 }
 
+/// Four twist steps: x[k..k+4) from x[k..k+5) and x[far..far+4).  The
+/// caller keeps `far` on words that are final for this block.
+TAGWATCH_AVX2 inline void mt64_twist4(std::uint64_t* x, std::size_t k,
+                                      std::size_t far) noexcept {
+  const __m256i upper =
+      _mm256_set1_epi64x(static_cast<std::int64_t>(mt64::kUpperMask));
+  const __m256i lower =
+      _mm256_set1_epi64x(static_cast<std::int64_t>(mt64::kLowerMask));
+  const __m256i matrix =
+      _mm256_set1_epi64x(static_cast<std::int64_t>(mt64::kMatrixA));
+  const __m256i hi =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + k));
+  const __m256i lo =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + k + 1));
+  const __m256i y = _mm256_or_si256(_mm256_and_si256(hi, upper),
+                                    _mm256_and_si256(lo, lower));
+  // (y & 1) ? A : 0 as a lane mask: 0 - (y & 1) is all-ones or zero.
+  const __m256i odd = _mm256_sub_epi64(
+      _mm256_setzero_si256(), _mm256_and_si256(y, _mm256_set1_epi64x(1)));
+  const __m256i v = _mm256_xor_si256(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + far)),
+      _mm256_xor_si256(_mm256_srli_epi64(y, 1),
+                       _mm256_and_si256(odd, matrix)));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(x + k), v);
+}
+
+TAGWATCH_AVX2 void avx2_mt64_twist(std::uint64_t* x) noexcept {
+  constexpr std::size_t n = mt64::kStateWords;
+  constexpr std::size_t m = mt64::kShift;
+  // First half: x[k + m] is still the previous block's word.  n - m is a
+  // multiple of 4, and the lo load's last word x[k + 4] is never ahead
+  // of the stores.
+  std::size_t k = 0;
+  for (; k < n - m; k += 4) mt64_twist4(x, k, k + m);
+  // Second half: x[k + m - n] < n - m was finished by the first half.
+  for (; k + 4 < n; k += 4) mt64_twist4(x, k, k + m - n);
+  for (; k < n - 1; ++k) x[k] = mt64::twist_word(x[k], x[k + 1], x[k + m - n]);
+  x[n - 1] = mt64::twist_word(x[n - 1], x[0], x[m - 1]);
+}
+
+TAGWATCH_AVX2 void avx2_mt64_temper_shift(const std::uint64_t* words,
+                                          std::size_t n, unsigned shift,
+                                          std::uint32_t* out) noexcept {
+  const __m256i d = _mm256_set1_epi64x(0x5555555555555555LL);
+  const __m256i b = _mm256_set1_epi64x(0x71d67fffeda60000LL);
+  const __m256i c =
+      _mm256_set1_epi64x(static_cast<std::int64_t>(0xfff7eee000000000ULL));
+  const __m128i count = _mm_cvtsi32_si128(static_cast<int>(shift));
+  // Low dword of each 64-bit lane into the low 128 bits.
+  const __m256i pack = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m256i z =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + i));
+    z = _mm256_xor_si256(z, _mm256_and_si256(_mm256_srli_epi64(z, 29), d));
+    z = _mm256_xor_si256(z, _mm256_and_si256(_mm256_slli_epi64(z, 17), b));
+    z = _mm256_xor_si256(z, _mm256_and_si256(_mm256_slli_epi64(z, 37), c));
+    z = _mm256_xor_si256(z, _mm256_srli_epi64(z, 43));
+    z = _mm256_permutevar8x32_epi32(_mm256_srl_epi64(z, count), pack);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
+                     _mm256_castsi256_si128(z));
+  }
+  for (; i < n; ++i) {
+    out[i] = static_cast<std::uint32_t>(mt64::temper(words[i]) >> shift);
+  }
+}
+
+TAGWATCH_AVX2 std::size_t avx2_window_indices_u32(const std::uint32_t* v,
+                                                  std::size_t n,
+                                                  std::uint32_t base,
+                                                  std::uint32_t width,
+                                                  std::uint32_t* out) noexcept {
+  if (width == 0) return 0;
+  const __m256i vbase = _mm256_set1_epi32(static_cast<int>(base));
+  const __m256i vlast = _mm256_set1_epi32(static_cast<int>(width - 1));
+  std::size_t m = 0;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    // Eight lanes of (v - base) <= width - 1, unsigned: min_epu32(x, last)
+    // equals x exactly when x is in range.
+    const __m256i x = _mm256_sub_epi32(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i)), vbase);
+    const __m256i in = _mm256_cmpeq_epi32(_mm256_min_epu32(x, vlast), x);
+    auto bits = static_cast<unsigned>(
+        _mm256_movemask_ps(_mm256_castsi256_ps(in)));
+    while (bits != 0) {
+      out[m++] = static_cast<std::uint32_t>(
+          i + static_cast<std::size_t>(std::countr_zero(bits)));
+      bits &= bits - 1;
+    }
+  }
+  for (; i < n; ++i) {
+    if (v[i] - base < width) out[m++] = static_cast<std::uint32_t>(i);
+  }
+  return m;
+}
+
 #undef TAGWATCH_AVX2
 
 constexpr KernelTable kAvx2Table = {
@@ -335,6 +433,9 @@ constexpr KernelTable kAvx2Table = {
     &avx2_scatter_words,
     &avx2_strided_weight_decay,
     &avx2_strided_match_first,
+    &avx2_mt64_twist,
+    &avx2_mt64_temper_shift,
+    &avx2_window_indices_u32,
 };
 
 }  // namespace

@@ -398,6 +398,15 @@ TEST(LintSimd, SimdModuleFilesAreExempt) {
                        "simd-discipline"));
 }
 
+TEST(LintSimd, RngHeaderIsNotAKernelFile) {
+  // util::Rng's engine reaches its vector paths through the dispatched
+  // mt64_* kernels; inlining intrinsics into the header is flagged.
+  const char* body =
+      "#pragma once\n#include <immintrin.h>\n"
+      "inline __m256i twist(__m256i v) { return _mm256_srli_epi64(v, 1); }\n";
+  EXPECT_TRUE(has_rule(run_one("src/util/rng.hpp", body), "simd-discipline"));
+}
+
 TEST(LintSimd, PlainIdentifiersAndOtherHeadersAreNotFlagged) {
   // `comm_mm` only contains the prefix mid-identifier; <cstring> is not an
   // intrinsics header; simd-namespace calls are the sanctioned API.

@@ -487,6 +487,31 @@ TEST(PipelineMetrics, SnapshotWithoutObserveHasNoSinkStats) {
   EXPECT_EQ(snap.cycles, 0u);  // no cycle boundary seen yet
 }
 
+TEST(PipelineMetrics, PerCycleBreakdownIsABoundedRing) {
+  // Unbounded uptime must not grow the sink: 10^4 cycles keep only the
+  // last kPerCycleHistory entries, while the count and means cover all.
+  PipelineMetrics metrics;
+  constexpr std::size_t kCycles = 10'000;
+  CycleReport report;
+  for (std::size_t i = 0; i < kCycles; ++i) {
+    report.cycle_index = i;
+    report.scene.assign(i % 2 == 0 ? 2 : 4, util::Epc::from_serial(1));
+    metrics.on_cycle_end(report);
+    if (i % 1000 == 999) {
+      EXPECT_LE(metrics.snapshot().per_cycle.size(),
+                PipelineMetrics::kPerCycleHistory);
+    }
+  }
+  const PipelineMetricsSnapshot snap = metrics.snapshot();
+  EXPECT_EQ(snap.cycles, kCycles);
+  ASSERT_EQ(snap.per_cycle.size(), PipelineMetrics::kPerCycleHistory);
+  for (std::size_t k = 0; k < snap.per_cycle.size(); ++k) {
+    EXPECT_EQ(snap.per_cycle[k].cycle_index,
+              kCycles - PipelineMetrics::kPerCycleHistory + k);
+  }
+  EXPECT_DOUBLE_EQ(snap.mean_scene, 3.0);
+}
+
 TEST(TagwatchController, SetReadListenerInstallsAndRemovesAppSink) {
   PipelineBed bed(5, 0, 13);
   TagwatchConfig cfg;

@@ -316,6 +316,54 @@ TEST_F(SimdDifferential, StridedMatchFirst) {
   }
 }
 
+TEST_F(SimdDifferential, Mt64Twist) {
+  for (int round = 0; round < 64; ++round) {
+    std::vector<std::uint64_t> s(mt64::kStateWords);
+    for (auto& w : s) w = rng_.engine()();
+    if (round == 0) std::fill(s.begin(), s.end(), 0);
+    if (round == 1) std::fill(s.begin(), s.end(), ~std::uint64_t{0});
+    std::vector<std::uint64_t> v = s;
+    scalar_.mt64_twist(s.data());
+    avx2_.mt64_twist(v.data());
+    ASSERT_EQ(s, v) << "round " << round;
+  }
+}
+
+TEST_F(SimdDifferential, Mt64TemperShift) {
+  for (const std::size_t n : kWidths) {
+    std::vector<std::uint64_t> words(n);
+    for (auto& w : words) w = rng_.engine()();
+    for (unsigned shift = 33; shift <= 63; ++shift) {
+      std::vector<std::uint32_t> s(n + 1, 7), v(n + 1, 7);
+      scalar_.mt64_temper_shift(words.data(), n, shift, s.data());
+      avx2_.mt64_temper_shift(words.data(), n, shift, v.data());
+      ASSERT_EQ(s, v) << "n=" << n << " shift=" << shift;
+      EXPECT_EQ(v[n], 7u) << "wrote past n";
+    }
+  }
+}
+
+TEST_F(SimdDifferential, WindowIndicesU32) {
+  constexpr std::uint32_t kBases[] = {0, 1, 31, 1000, 0xfffffff0u};
+  for (const std::size_t n : kWidths) {
+    std::vector<std::uint32_t> v(n);
+    for (auto& x : v) x = rng_.below(64) == 0 ? ~0u : rng_.below(2048);
+    for (const std::uint32_t base : kBases) {
+      for (const std::uint32_t width : {0u, 1u, 32u, 1000u, ~0u}) {
+        std::vector<std::uint32_t> s(n + 1, 7), a(n + 1, 7);
+        const std::size_t ms = scalar_.window_indices_u32(v.data(), n, base,
+                                                          width, s.data());
+        const std::size_t ma =
+            avx2_.window_indices_u32(v.data(), n, base, width, a.data());
+        ASSERT_EQ(ms, ma) << "n=" << n << " base=" << base << " w=" << width;
+        s.resize(ms);
+        a.resize(ma);
+        ASSERT_EQ(s, a) << "n=" << n << " base=" << base << " w=" << width;
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------- dispatch state
 
 TEST(SimdDispatch, DetectedIsValidAndTablesAgreeWithProbe) {
