@@ -1,11 +1,12 @@
-// Phase-I ingestion scaling — serial MotionAssessor vs the sharded
-// ParallelAssessor engine.
+// Phase-I ingestion scaling — the serial reference assessor
+// (tests/motion_assessor_reference.hpp) vs the sharded ParallelAssessor
+// engine.
 //
 // Measures the full Phase-I ingestion path as the controller drives it:
 // readings flow through a ReadingPipeline into an assessor sink, a window
 // opens, every reading is ingested, the window is assessed.  The serial
-// baseline is per-reading dispatch() into AssessorSink (one wall-clock
-// pair per reading, node-based detector state); the engine is
+// baseline is per-reading dispatch() into a sink over the reference (one
+// wall-clock pair per reading, node-based detector state); the engine is
 // dispatch_batch() into ParallelAssessorSink (one clock pair per batch,
 // dense sharded slots).  Output equality is asserted in-bench: any
 // divergence from the serial oracle aborts the run, so a speedup can
@@ -18,16 +19,18 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_report.hpp"
-#include "core/assessor.hpp"
 #include "core/parallel_assessor.hpp"
 #include "core/pipeline.hpp"
+#include "motion_assessor_reference.hpp"
 #include "rf/measurement.hpp"
 #include "util/epc.hpp"
 #include "util/rng.hpp"
 #include "util/sim_time.hpp"
+#include "util/task_pool.hpp"
 
 using namespace tagwatch;
 
@@ -70,6 +73,24 @@ std::vector<std::vector<rf::TagReading>> make_windows(std::size_t n_tags,
   return windows;
 }
 
+/// Feeds every reading to the reference assessor, one dispatch at a time.
+class ReferenceAssessorSink final : public core::ReadingSink {
+ public:
+  explicit ReferenceAssessorSink(core::reference::MotionAssessor& assessor)
+      : assessor_(&assessor) {}
+
+  std::string_view name() const override { return "assessor"; }
+  bool on_reading(const rf::TagReading& reading,
+                  const core::ReadingContext& context) override {
+    (void)context;
+    assessor_->ingest(reading);
+    return true;
+  }
+
+ private:
+  core::reference::MotionAssessor* assessor_;
+};
+
 double now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -99,9 +120,9 @@ void require_equal(const std::vector<core::TagAssessment>& oracle,
 /// captures the per-window assessments as the oracle.
 double run_serial(const std::vector<std::vector<rf::TagReading>>& windows,
                   std::vector<std::vector<core::TagAssessment>>* oracle) {
-  core::MotionAssessor assessor;
+  core::reference::MotionAssessor assessor;
   core::ReadingPipeline pipeline;
-  pipeline.add_sink(std::make_shared<core::AssessorSink>(assessor));
+  pipeline.add_sink(std::make_shared<ReferenceAssessorSink>(assessor));
   const double t0 = now_seconds();
   for (const auto& window : windows) {
     assessor.begin_window();
@@ -117,7 +138,8 @@ double run_serial(const std::vector<std::vector<rf::TagReading>>& windows,
 double run_engine(const std::vector<std::vector<rf::TagReading>>& windows,
                   std::size_t threads,
                   const std::vector<std::vector<core::TagAssessment>>& oracle) {
-  core::ParallelAssessor assessor({}, threads);
+  util::TaskPool pool(threads);
+  core::ParallelAssessor assessor({}, pool);
   core::ReadingPipeline pipeline;
   pipeline.add_sink(std::make_shared<core::ParallelAssessorSink>(assessor));
   const double t0 = now_seconds();
@@ -132,8 +154,8 @@ double run_engine(const std::vector<std::vector<rf::TagReading>>& windows,
 }  // namespace
 
 int main() {
-  std::printf("Phase-I ingestion scaling — serial dispatch+MotionAssessor "
-              "vs batched ParallelAssessor\n");
+  std::printf("Phase-I ingestion scaling — serial dispatch+reference "
+              "assessor vs batched ParallelAssessor\n");
   std::printf("(%zu windows, %zu readings/tag/window; min of %d reps; "
               "output equality asserted)\n\n",
               kWindows, kReadingsPerTag, kReps);

@@ -25,11 +25,11 @@ std::uint32_t allocate_block(std::vector<GaussianComponent>& bank,
 
 }  // namespace
 
-ParallelAssessor::ParallelAssessor(AssessorConfig config, std::size_t threads)
+ParallelAssessor::ParallelAssessor(AssessorConfig config, util::TaskPool& pool)
     : config_(std::move(config)),
       keying_(config_.detector.keying),
-      pool_(threads),
-      shards_(pool_.thread_count()) {
+      pool_(&pool),
+      shards_(pool.thread_count()) {
   const DetectorConfig& d = config_.detector;
   switch (config_.detector_kind) {
     case DetectorKind::kPhaseMog:
@@ -61,7 +61,7 @@ ParallelAssessor::ParallelAssessor(AssessorConfig config, std::size_t threads)
   }
   if (mode_ != Mode::kDiff) {
     // Validate mixture parameters up front with the exact checks (and
-    // exceptions) the serial path applies on first model construction.
+    // exceptions) ImmobilityModel applies on construction.
     (void)ImmobilityModel(bank_a_.config, bank_a_.metric);
     if (mode_ == Mode::kHybrid) {
       (void)ImmobilityModel(bank_b_.config, bank_b_.metric);
@@ -128,7 +128,7 @@ void ParallelAssessor::flush() {
     }
   }
   if (!any) return;
-  pool_.run(shards_.size(),
+  pool_->run(shards_.size(),
             [this](std::size_t s) { drain_shard(shards_[s]); });
 }
 
@@ -252,7 +252,9 @@ void ParallelAssessor::evict(Shard& shard, std::uint32_t slot_index) {
 
 const std::vector<TagAssessment>& ParallelAssessor::assess(util::SimTime now) {
   if (!window_open_) {
-    // Window already closed: replay the cached result (see MotionAssessor).
+    // Window already closed: replay its cached result instead of
+    // re-applying forget_after eviction at a later `now` (which would
+    // silently drop tags the window did assess).
     return last_window_;
   }
   flush();

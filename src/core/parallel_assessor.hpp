@@ -1,26 +1,25 @@
-// Sharded, batched Phase-I ingestion engine — bit-identical to the serial
-// MotionAssessor for ANY thread count, by construction:
+// The Phase-I motion assessor: a sharded, batched ingestion engine whose
+// output is the same for ANY thread count, by construction:
 //
 //  * ingest() is serial and cheap: it routes the reading to a shard chosen
 //    by the stable content hash of the EPC, so every reading of one tag
 //    lands on the same shard in arrival order;
 //  * per-tag detector state depends only on that tag's own readings, so
 //    shards can drain concurrently (util::TaskPool fork/join) while each
-//    tag still sees exactly the serial per-reading update — both paths
-//    call the shared mog_* kernels of core/immobility.hpp;
-//  * assess() merges shard results and sorts by EPC, the same order the
-//    serial assessor emits, so assessments (and everything derived from
-//    them: CycleReports, journal digests) are byte-equal whether the
-//    engine runs with 1 thread or 8.
+//    tag still sees exactly the per-reading update a MotionDetector would
+//    apply — both call the shared mog_* kernels of core/immobility.hpp;
+//  * assess() merges shard results and sorts by EPC, so assessments (and
+//    everything derived from them: CycleReports, journal digests) are
+//    byte-equal whether the engine runs with 1 thread or 8.
 //
-// The speedup over MotionAssessor does not come from threads alone: the
-// engine replaces the serial path's pointer-chasing layout (unordered_map
-// node per tag, std::map tree walk per (antenna, channel) model, one heap
-// vector per model, a std::stable_sort temporary buffer per observation)
-// with dense per-slot storage — keyed states in a sorted vector, Gaussian
-// components in pooled fixed-capacity blocks per shard — so the hot loop
-// is allocation-free and mostly sequential.  bench_phase1_scaling measures
-// both effects.
+// Per-tag state is dense rather than pointer-chasing (no unordered_map
+// node per tag, std::map walk per (antenna, channel) model, heap vector
+// per model, or sort buffer per observation): keyed states sit in a
+// sorted vector, Gaussian components in pooled fixed-capacity blocks per
+// shard, so the hot loop is allocation-free and mostly sequential.  The
+// serial one-MotionDetector-per-tag loop it must reproduce lives in
+// tests/motion_assessor_reference.hpp as the differential oracle;
+// bench_phase1_scaling times the two.
 #pragma once
 
 #include <cstdint>
@@ -35,20 +34,18 @@
 
 namespace tagwatch::core {
 
-/// Drop-in batched replacement for MotionAssessor (same window protocol:
-/// begin_window / ingest / assess).  Readings buffer in per-shard queues
-/// and are drained on flush(), which begin_window() and assess() call
-/// implicitly — detector state is always current at every observable
-/// boundary, it just lags between them.
+/// Window protocol: begin_window / ingest / assess.  Readings buffer in
+/// per-shard queues and are drained on flush(), which begin_window() and
+/// assess() call implicitly — detector state is always current at every
+/// observable boundary, it just lags between them.
 class ParallelAssessor {
  public:
-  /// `threads` sizes the TaskPool and the shard count.  Any value yields
-  /// identical output; more threads only buy ingestion throughput.
-  /// Mixture parameters are validated here (the serial path defers to the
-  /// first model construction) — throws std::invalid_argument like
-  /// ImmobilityModel does.
-  explicit ParallelAssessor(AssessorConfig config = {},
-                            std::size_t threads = 1);
+  /// Drains shards on `pool` (which must outlive the assessor); the shard
+  /// count is pool.thread_count().  Any pool size yields identical output;
+  /// more threads only buy ingestion throughput.  Mixture parameters are
+  /// validated here — throws std::invalid_argument like ImmobilityModel
+  /// does.
+  ParallelAssessor(AssessorConfig config, util::TaskPool& pool);
 
   /// Opens an assessment window (drains any buffered readings first,
   /// under closed-window semantics, exactly as if they had been applied
@@ -74,7 +71,7 @@ class ParallelAssessor {
   /// Tags currently tracked (have detector state).
   std::size_t tracked_count() const noexcept { return routes_.size(); }
 
-  std::size_t thread_count() const noexcept { return pool_.thread_count(); }
+  std::size_t thread_count() const noexcept { return pool_->thread_count(); }
   const AssessorConfig& config() const noexcept { return config_; }
 
  private:
@@ -103,8 +100,8 @@ class ParallelAssessor {
     static constexpr std::uint32_t kNoBlock = 0xffffffffu;
   };
 
-  /// Dense per-tag state (the engine's analogue of MotionAssessor's
-  /// TagState + MotionDetector).
+  /// Dense per-tag state (the engine's analogue of one MotionDetector plus
+  /// its window counters).
   struct TagSlot {
     util::Epc epc;
     util::SimTime last_seen{0};
@@ -161,7 +158,7 @@ class ParallelAssessor {
   double diff_threshold_ = 0.0;
   bool hybrid_require_both_ = false;
 
-  util::TaskPool pool_;
+  util::TaskPool* pool_;
   std::vector<Shard> shards_;
   std::unordered_map<util::Epc, Route> routes_;
 

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/assessor.hpp"
 #include "core/history.hpp"
 #include "core/parallel_assessor.hpp"
 
@@ -139,13 +138,6 @@ bool HistorySink::on_reading(const rf::TagReading& reading,
                              const ReadingContext& context) {
   (void)context;
   history_->record(reading);
-  return true;
-}
-
-bool AssessorSink::on_reading(const rf::TagReading& reading,
-                              const ReadingContext& context) {
-  (void)context;
-  assessor_->ingest(reading);
   return true;
 }
 

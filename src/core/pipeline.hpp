@@ -22,7 +22,6 @@ namespace tagwatch::core {
 
 struct CycleReport;  // core/tagwatch.hpp
 class HistoryDatabase;
-class MotionAssessor;
 class ParallelAssessor;
 
 /// Which controller phase produced a reading.
@@ -196,21 +195,6 @@ class HistorySink final : public ReadingSink {
 /// Feeds every reading to the motion assessor (immobility-model training —
 /// Phase II readings continuing to train is what makes state transitions
 /// converge within about one cycle, §4.3).
-class AssessorSink final : public ReadingSink {
- public:
-  /// `assessor` must outlive the sink.
-  explicit AssessorSink(MotionAssessor& assessor) : assessor_(&assessor) {}
-
-  std::string_view name() const override { return "assessor"; }
-  bool on_reading(const rf::TagReading& reading,
-                  const ReadingContext& context) override;
-
- private:
-  MotionAssessor* assessor_;
-};
-
-/// AssessorSink for the sharded ingestion engine.  Shares the name
-/// "assessor" so the two are interchangeable within a pipeline.
 class ParallelAssessorSink final : public ReadingSink {
  public:
   /// `assessor` must outlive the sink.

@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "core/metrics.hpp"
-#include "util/simd.hpp"
 
 namespace tagwatch::core {
 
@@ -23,7 +22,8 @@ std::uint8_t q_for_population(std::size_t n) {
 TagwatchController::TagwatchController(TagwatchConfig config,
                                        llrp::ReaderClient& client)
     : config_(std::move(config)), client_(&client),
-      assessor_(config_.assessor, config_.assessor_threads),
+      pool_(config_.threads),
+      assessor_(config_.assessor, pool_),
       jitter_rng_(config_.resilience.retry.jitter_seed) {
   // Built-in consumers (Fig. 5): model training first, then the history
   // database; application and telemetry sinks append behind them.
@@ -31,15 +31,6 @@ TagwatchController::TagwatchController(TagwatchConfig config,
   pipeline_.add_sink(std::make_shared<HistorySink>(history_));
   if (config_.wall_clock != nullptr) {
     pipeline_.set_wall_clock(*config_.wall_clock);
-  }
-  // Pin the process-wide kernel table: best detected ISA, or the portable
-  // scalar kernels under force_scalar_simd.  Either way the kernels are
-  // bit-identical, so this never changes a plan or a journal digest.
-  util::simd::set_active_isa(config_.force_scalar_simd
-                                 ? util::simd::Isa::kScalar
-                                 : util::simd::detected_isa());
-  if (config_.planner.threads > 1) {
-    planning_pool_ = std::make_unique<util::TaskPool>(config_.planner.threads);
   }
 }
 
@@ -354,8 +345,7 @@ CycleReport TagwatchController::run_cycle() {
       // and patch the candidate structure instead of rebuilding it.
       if (incremental_planner_ == nullptr) {
         incremental_planner_ = std::make_unique<IncrementalPlanner>(
-            config_.cost_model, config_.planner.churn_threshold,
-            planning_pool_.get());
+            config_.cost_model, config_.planner.churn_threshold, &pool_);
       }
       report.schedule =
           incremental_planner_->plan_cycle(report.scene, report.targets);
@@ -369,8 +359,7 @@ CycleReport TagwatchController::run_cycle() {
                                      config_.greedy_evaluation);
       report.schedule = config_.mode == ScheduleMode::kNaiveEpcMasks
                             ? scheduler.naive_plan(index, targets)
-                            : scheduler.plan(index, targets,
-                                             planning_pool_.get());
+                            : scheduler.plan(index, targets, &pool_);
     }
   }
   report.read_all_fallback = read_all;

@@ -4,7 +4,7 @@
 // upper applications (Fig. 5).  Each cycle:
 //
 //   Phase I  — inventory ALL tags briefly; assess each tag's motion state
-//              from its backscatter phase (MotionAssessor).
+//              from its backscatter phase (ParallelAssessor).
 //   Phase II — cover the target tags (assessed-mobile ∪ user-pinned) with
 //              Select bitmasks chosen by greedy set cover, then read only
 //              that subpopulation intensively for the rest of the cycle.
@@ -59,22 +59,18 @@ struct PlannerConfig {
   /// over scene size) above which the incremental planner rebuilds its
   /// structure from scratch instead of patching it.
   double churn_threshold = 0.15;
-  /// Worker threads of Phase-II candidate generation: BitmaskIndex
-  /// candidate sweeps and incremental-planner rebuilds shard across a
-  /// shared pool of this size.  Any value produces bit-identical plans
-  /// and journal digests (enforced by differential tests); raising it
-  /// only buys planning throughput on large scenes.
-  std::size_t threads = 1;
 };
 
 /// Controller configuration (paper §6 "parameter choice" defaults).
 struct TagwatchConfig {
   AssessorConfig assessor = {};
-  /// Worker threads (and shards) of the Phase-I ingestion engine.  Any
-  /// value produces bit-identical cycles, assessments and journal digests
-  /// (enforced by differential tests); raising it only buys ingestion
-  /// throughput on large scenes.
-  std::size_t assessor_threads = 1;
+  /// Worker threads of the controller's one util::TaskPool, shared by
+  /// Phase-I ingestion (one shard per thread) and Phase-II candidate
+  /// generation (BitmaskIndex sweeps, incremental-planner rebuilds).  Any
+  /// value produces bit-identical cycles, plans and journal digests
+  /// (enforced by differential tests); raising it only buys throughput on
+  /// large scenes.
+  std::size_t threads = 1;
   /// Cost model used by the scheduler's relative-gain formula; fit it on
   /// measurements (bench_irr_model) or take the paper's values.
   InventoryCostModel cost_model = InventoryCostModel::paper_fit();
@@ -95,12 +91,6 @@ struct TagwatchConfig {
   /// Cross-cycle planner policy (kGreedyCover only; other modes and the
   /// degraded/read-all paths never consult it).
   PlannerConfig planner;
-  /// Pin every util::simd kernel to the portable scalar implementation
-  /// instead of the best instruction set detected at startup.  All kernels
-  /// are bit-identical across implementations (enforced by differential
-  /// tests), so this only trades speed — it exists for A/B benchmarking
-  /// and for ruling SIMD out when chasing a miscompare.
-  bool force_scalar_simd = false;
   /// Above this mobile fraction, selective reading stops paying off and the
   /// controller falls back to reading everything (§3 "Scope").
   double mobile_fraction_threshold = 0.20;
@@ -287,6 +277,8 @@ class TagwatchController {
 
   TagwatchConfig config_;
   llrp::ReaderClient* client_;
+  /// Declared before assessor_, which holds a reference to it.
+  util::TaskPool pool_;
   ParallelAssessor assessor_;
   HistoryDatabase history_;
   ReadingPipeline pipeline_;
@@ -299,9 +291,6 @@ class TagwatchController {
   std::vector<util::Epc> extra_targets_;
   /// Lazily-built persistent Phase II planner (planner.incremental).
   std::unique_ptr<IncrementalPlanner> incremental_planner_;
-  /// Lazily-built candidate-generation pool (planner.threads > 1);
-  /// nullptr means the serial path.
-  std::unique_ptr<util::TaskPool> planning_pool_;
 
   // ------------------------------------------------- resilience state
   HealthMetrics health_;

@@ -328,21 +328,19 @@ void check_simd_discipline(const SourceFile& file, const std::string& scrubbed,
     }
     pos += 9;
   }
-  // (c) Repointing the process-wide kernel table is the config seam's
-  // job: in src/ only TagwatchController's constructor (driven by
-  // TagwatchConfig::force_scalar_simd) may call set_active_isa, so every
-  // journaled run records its ISA choice in its config.  Tests, tools
-  // and benches flip it freely for A/B runs.
-  if (file.path.rfind("src/", 0) == 0 &&
-      file.path != "src/core/tagwatch.cpp") {
+  // (c) The kernel table is process state: library code in src/ never
+  // repoints it (this module, exempted above, defines set_active_isa).
+  // Tests, tools and benches pin it from process-level code for A/B runs.
+  if (file.path.rfind("src/", 0) == 0) {
     std::size_t at = 0;
     while ((at = find_identifier(scrubbed, "set_active_isa", at)) !=
            std::string::npos) {
       const std::size_t after = skip_ws(scrubbed, at + 14);
       if (after < scrubbed.size() && scrubbed[after] == '(') {
         out.push_back({file.path, line_of(scrubbed, at), "simd-discipline",
-                       "set_active_isa outside the config seam; pin the ISA "
-                       "via TagwatchConfig::force_scalar_simd"});
+                       "set_active_isa in library code; the kernel table "
+                       "is process state, pinned only by tests, benches "
+                       "and tools"});
       }
       at += 14;
     }
@@ -683,8 +681,8 @@ const std::vector<RuleInfo>& RuleEngine::rules() {
        "guards, never explicit lock()/unlock()"},
       {"simd-discipline",
        "raw vector intrinsics and intrinsics headers only inside the "
-       "util::simd module; in src/ the kernel table is repointed only "
-       "through the TagwatchConfig::force_scalar_simd seam"},
+       "util::simd module; no set_active_isa call in src/ outside it "
+       "(the kernel table is process state)"},
       {"determinism-taint",
        "no journaled function reaches a wall-clock/entropy read through "
        "any call chain (interprocedural; util::WallClock is the sanctioned "

@@ -18,10 +18,10 @@
 // detected_isa() and can only be lowered (e.g. forced to scalar for
 // differential measurement) via set_active_isa(), which clamps to the
 // detected level so an AVX2 kernel can never run on a machine without
-// AVX2.  Journaled code must not make the decision ad hoc: the
-// simd-discipline lint rule pins set_active_isa() calls to this module
-// and the TagwatchConfig seam (TagwatchConfig::force_scalar_simd), and
-// pins raw intrinsics to src/util/simd_avx2.cpp.
+// AVX2.  The table is process state, so only process-level code (tests,
+// benches, tools' main) repoints it: the simd-discipline lint rule flags
+// every set_active_isa() call in src/ outside this module, and pins raw
+// intrinsics to src/util/simd_avx2.cpp.
 #pragma once
 
 #include <cstddef>
@@ -45,8 +45,8 @@ Isa active_isa() noexcept;
 /// Selects the dispatch level, clamped to detected_isa() — requesting
 /// kAvx2 on a non-AVX2 machine leaves the scalar table active.  Returns
 /// the level actually activated.  Not thread-safe against concurrent
-/// kernel calls; call it at startup (the TagwatchConfig seam) or between
-/// measurement phases, never from inside a TaskPool region.
+/// kernel calls; call it at process startup or between measurement
+/// phases, never from inside a TaskPool region.
 Isa set_active_isa(Isa isa) noexcept;
 
 /// Human-readable name ("scalar" / "avx2") for logs and BENCH metadata.

@@ -170,7 +170,7 @@ FleetConfig chaos_config(TakeoverPolicy policy) {
   cfg.controller.phase2_duration = util::msec(200);
   // Real compute time on the sim clock would make every timestamp — and
   // the twin-bed outage anchoring below — depend on host speed and
-  // assessor thread count.
+  // thread count.
   cfg.controller.charge_compute_time = false;
   cfg.takeover = policy;
   cfg.resilience.suspect_after_failures = 1;
@@ -559,10 +559,10 @@ TEST(FleetFailover, AssessorThreadCountNeverChangesTheFaultStory) {
 
   std::string journal_csv, report_text;
   for (const std::size_t threads : {1u, 2u, 4u}) {
-    SCOPED_TRACE("assessor_threads " + std::to_string(threads));
+    SCOPED_TRACE("threads " + std::to_string(threads));
     ChaosBed bed(tags, {outage_plan(death, death + util::sec(2))});
     FleetConfig cfg = base;
-    cfg.controller.assessor_threads = threads;
+    cfg.controller.threads = threads;
     FleetController fleet(cfg, bed.specs, &bed.world);
     const std::string text = describe(fleet.run_cycles(12));
     const std::string csv = fleet.journal().to_csv();

@@ -1,6 +1,7 @@
 // core::ParallelAssessor differential suite: the engine's one promise is
-// bit-identical output to the serial MotionAssessor for EVERY thread
-// count, so every test here replays one reading stream through both and
+// bit-identical output to the serial reference assessor
+// (tests/motion_assessor_reference.hpp) for EVERY pool size, so every
+// test here replays one reading stream through both and
 // demands field-for-field equality — randomized scenes up to 4,096 tags,
 // corrupt (fault-injected) readings, duplicate reads, out-of-window
 // training traffic, and forget_after eviction included.
@@ -14,14 +15,17 @@
 #include <string>
 #include <vector>
 
-#include "core/assessor.hpp"
+#include "motion_assessor_reference.hpp"
 #include "rf/measurement.hpp"
 #include "util/epc.hpp"
 #include "util/rng.hpp"
 #include "util/sim_time.hpp"
+#include "util/task_pool.hpp"
 
 namespace tagwatch::core {
 namespace {
+
+using reference::MotionAssessor;
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
 
@@ -119,7 +123,8 @@ void run_differential(const AssessorConfig& config, const Stream& stream) {
   for (const std::size_t threads : kThreadCounts) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     MotionAssessor serial(config);
-    ParallelAssessor engine(config, threads);
+    util::TaskPool pool(threads);
+    ParallelAssessor engine(config, pool);
     EXPECT_EQ(engine.thread_count(), threads);
     for (const Stream::Window& w : stream.windows) {
       serial.begin_window();
@@ -188,7 +193,8 @@ TEST(ParallelAssessor, MatchesSerialThroughForgetAfterEviction) {
   for (const std::size_t threads : kThreadCounts) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     MotionAssessor serial(config);
-    ParallelAssessor engine(config, threads);
+    util::TaskPool pool(threads);
+    ParallelAssessor engine(config, pool);
     util::Rng rng(7);
 
     // Window 1: every tag read.
@@ -235,7 +241,8 @@ TEST(ParallelAssessor, BuffersTrainingTrafficUntilNextBoundary) {
   // Readings ingested with no window open may be buffered by the engine;
   // they must still be applied before the next window's verdicts.
   AssessorConfig config;
-  ParallelAssessor engine(config, 4);
+  util::TaskPool pool(4);
+  ParallelAssessor engine(config, pool);
   MotionAssessor serial(config);
   const Stream stream = make_stream(/*seed=*/53, /*n_tags=*/8,
                                     /*n_windows=*/3,
@@ -257,18 +264,20 @@ TEST(ParallelAssessor, BuffersTrainingTrafficUntilNextBoundary) {
 }
 
 TEST(ParallelAssessor, AssessBeforeAnyWindowIsEmpty) {
-  ParallelAssessor engine(AssessorConfig{}, 4);
+  util::TaskPool pool(4);
+  ParallelAssessor engine(AssessorConfig{}, pool);
   EXPECT_TRUE(engine.assess(util::sec(1)).empty());
   EXPECT_TRUE(engine.mobile_tags(util::sec(1)).empty());
   EXPECT_EQ(engine.tracked_count(), 0u);
 }
 
 TEST(ParallelAssessor, InvalidDetectorConfigThrowsEagerly) {
-  // The serial path validates lazily at first detector construction; the
+  // The reference validates lazily at first detector construction; the
   // engine fails fast in the constructor instead.
   AssessorConfig config;
   config.detector.phase_mog.learning_rate = 1.5;
-  EXPECT_THROW(ParallelAssessor(config, 2), std::invalid_argument);
+  util::TaskPool pool(2);
+  EXPECT_THROW(ParallelAssessor(config, pool), std::invalid_argument);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "core/bitmask.hpp"
 #include "core/incremental_planner.hpp"
 #include "core/setcover.hpp"
+#include "isa_guard.hpp"
 #include "util/epc.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -20,13 +21,7 @@
 namespace tagwatch::core {
 namespace {
 
-/// Restores the entry ISA when a test that repoints the kernel table
-/// exits (pass or fail), so test order can never leak an ISA change —
-/// including the forced-scalar pin of a TAGWATCH_TEST_FORCE_SCALAR run.
-struct IsaGuard {
-  util::simd::Isa saved = util::simd::active_isa();
-  ~IsaGuard() { util::simd::set_active_isa(saved); }
-};
+using util::simd::IsaGuard;
 
 std::vector<util::Epc> random_scene(std::size_t n, util::Rng& rng) {
   std::map<util::Epc, bool> uniq;

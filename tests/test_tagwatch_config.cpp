@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include "core/tagwatch.hpp"
+#include "isa_guard.hpp"
 #include "llrp/sim_reader_client.hpp"
 #include "util/circular.hpp"
+#include "util/simd.hpp"
 
 namespace tagwatch::core {
 namespace {
@@ -39,6 +41,18 @@ TEST(TagwatchConfig, Phase1RoundsPerAntennaScalesPhase1) {
   const CycleReport r = ctl.run_cycle();
   // 2 antennas × 3 rounds, each reading all 10 tags.
   EXPECT_EQ(r.phase1_readings, 60u);
+}
+
+TEST(TagwatchConfig, ControllerLeavesTheProcessKernelTableAlone) {
+  // The util::simd kernel table is process state, pinned by process-level
+  // code (here: the test, as CI's forced-scalar pass does).  Building and
+  // running a default controller must not repoint it.
+  util::simd::IsaGuard guard;
+  util::simd::set_active_isa(util::simd::Isa::kScalar);
+  MiniBed bed(10);
+  TagwatchController ctl(TagwatchConfig{}, *bed.client);
+  ctl.run_cycle();
+  EXPECT_EQ(util::simd::active_isa(), util::simd::Isa::kScalar);
 }
 
 TEST(TagwatchConfig, ChargeComputeTimeAdvancesClock) {

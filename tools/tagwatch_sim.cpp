@@ -24,12 +24,14 @@
 //   planner.churn_threshold = 0.15  delta fraction of the scene above
 //                                 which the incremental planner rebuilds
 //                                 from scratch [0,1]
-//   planner.threads = 1           worker threads of Phase-II candidate
-//                                 generation (plans are bit-identical at
-//                                 any value)
+//   threads         = 1           worker threads of each controller's
+//                                 pool: Phase-I ingestion and Phase-II
+//                                 candidate generation [1,64] (output is
+//                                 bit-identical at any value)
 //   simd.force_scalar = false     pin util::simd kernels to the portable
-//                                 scalar implementations (A/B baseline;
-//                                 results are bit-identical)
+//                                 scalar implementations for the whole
+//                                 process (A/B baseline; results are
+//                                 bit-identical)
 //   cycles          = 10
 //   phase2_seconds  = 5
 //   channels        = 1           1 or 16 (920–926 MHz plan)
@@ -108,6 +110,7 @@
 #include "llrp/sim_reader_client.hpp"
 #include "util/circular.hpp"
 #include "util/config.hpp"
+#include "util/simd.hpp"
 #include "util/stats.hpp"
 
 using namespace tagwatch;
@@ -135,13 +138,13 @@ core::GreedyEvaluation parse_evaluation(const std::string& evaluation) {
 constexpr const char* kAcceptedKeys[] = {
     "tags", "movers", "mover_speed", "people", "mode", "cycles",
     "phase2_seconds", "channels", "seed", "pinned_targets", "irr_top",
-    "export_schedule", "votes", "k", "assessor_threads", "record_journal",
+    "export_schedule", "votes", "k", "threads", "record_journal",
     "replay_journal",
     "pipeline_stats", "fault_injection", "fault_rate", "fault_seed",
     "fault_drop_rate", "fault_duplicate_rate", "fault_corrupt_rate",
     "fault_reconnect_ms", "retry_attempts", "degrade_after",
     "restore_after", "scheduler_evaluation", "planner.incremental",
-    "planner.churn_threshold", "planner.threads", "simd.force_scalar",
+    "planner.churn_threshold", "simd.force_scalar",
     "fleet.readers", "fleet.pitch", "fleet.radius", "fleet.policy",
     "fleet.session", "fleet.target", "fleet.dedup_ms", "fleet.seam_tags",
     "fleet.takeover", "fleet.suspect_after", "fleet.down_after",
@@ -204,6 +207,27 @@ double double_in(const util::KeyValueConfig& cfg, const std::string& key,
     throw std::invalid_argument(msg);
   }
   return v;
+}
+
+/// The controller keys both the single-reader and the fleet path read.
+core::TagwatchConfig controller_config(const util::KeyValueConfig& cfg) {
+  core::TagwatchConfig c;
+  c.mode = parse_mode(cfg.get_or("mode", "tagwatch"));
+  c.greedy_evaluation =
+      parse_evaluation(cfg.get_or("scheduler_evaluation", "lazy"));
+  c.planner.incremental = cfg.get_bool_or("planner.incremental", false);
+  c.planner.churn_threshold =
+      double_in(cfg, "planner.churn_threshold", 0.15, 0.0, 1.0);
+  // Any value is bit-identical to 1 (the differential tests enforce it);
+  // raising it only buys throughput on large scenes.
+  c.threads = static_cast<std::size_t>(int_in(cfg, "threads", 1, 1, 64));
+  c.phase2_duration = util::sec(int_in(cfg, "phase2_seconds", 5, 1, 3600));
+  c.pinned_targets = cfg.get_epc_list("pinned_targets");
+  c.assessor.mobile_vote_threshold =
+      static_cast<std::size_t>(int_in(cfg, "votes", 1, 1, 100));
+  c.assessor.detector.phase_mog.max_components =
+      static_cast<std::size_t>(int_in(cfg, "k", 8, 1, 64));
+  return c;
 }
 
 gen2::InvFlag parse_inv_target(const std::string& target) {
@@ -365,27 +389,8 @@ int run_fleet(const util::KeyValueConfig& cfg) {
 
   // -------------------------------------------------------------- fleet
   core::FleetConfig fcfg;
-  fcfg.controller.mode = parse_mode(cfg.get_or("mode", "tagwatch"));
-  fcfg.controller.greedy_evaluation =
-      parse_evaluation(cfg.get_or("scheduler_evaluation", "lazy"));
-  fcfg.controller.planner.incremental =
-      cfg.get_bool_or("planner.incremental", false);
-  fcfg.controller.planner.churn_threshold =
-      double_in(cfg, "planner.churn_threshold", 0.15, 0.0, 1.0);
-  fcfg.controller.planner.threads =
-      static_cast<std::size_t>(int_in(cfg, "planner.threads", 1, 1, 64));
-  fcfg.controller.force_scalar_simd =
-      cfg.get_bool_or("simd.force_scalar", false);
-  fcfg.controller.phase2_duration =
-      util::sec(int_in(cfg, "phase2_seconds", 5, 1, 3600));
-  fcfg.controller.pinned_targets = cfg.get_epc_list("pinned_targets");
+  fcfg.controller = controller_config(cfg);
   fcfg.controller.query_target = target;
-  fcfg.controller.assessor.mobile_vote_threshold =
-      static_cast<std::size_t>(int_in(cfg, "votes", 1, 1, 100));
-  fcfg.controller.assessor.detector.phase_mog.max_components =
-      static_cast<std::size_t>(int_in(cfg, "k", 8, 1, 64));
-  fcfg.controller.assessor_threads =
-      static_cast<std::size_t>(int_in(cfg, "assessor_threads", 1, 1, 64));
   fcfg.policy = policy;
   fcfg.shared_session = session;
   fcfg.dedup_window = dedup_window;
@@ -561,6 +566,11 @@ int run(int argc, char** argv) {
   }
 
   reject_unknown_keys(cfg);
+  if (cfg.get_bool_or("simd.force_scalar", false)) {
+    // The kernel table is process state: pin it before any controller
+    // exists.  Kernels are bit-identical, so only speed changes.
+    util::simd::set_active_isa(util::simd::Isa::kScalar);
+  }
 
   if (int_in(cfg, "fleet.readers", 1, 1, 16) >= 2) {
     return run_fleet(cfg);
@@ -573,7 +583,7 @@ int run(int argc, char** argv) {
   const double mover_speed = double_in(cfg, "mover_speed", 0.7, 0.0, 100.0);
   const auto n_people =
       static_cast<std::size_t>(int_in(cfg, "people", 0, 0, 1000));
-  const core::ScheduleMode mode = parse_mode(cfg.get_or("mode", "tagwatch"));
+  core::TagwatchConfig twcfg = controller_config(cfg);
   const auto cycles =
       static_cast<std::size_t>(int_in(cfg, "cycles", 10, 1, 1000000));
   const auto seed = static_cast<std::uint64_t>(int_in(
@@ -679,27 +689,6 @@ int run(int argc, char** argv) {
   }
 
   // ---------------------------------------------------------- tagwatch
-  core::TagwatchConfig twcfg;
-  twcfg.mode = mode;
-  twcfg.greedy_evaluation =
-      parse_evaluation(cfg.get_or("scheduler_evaluation", "lazy"));
-  twcfg.planner.incremental = cfg.get_bool_or("planner.incremental", false);
-  twcfg.planner.churn_threshold =
-      double_in(cfg, "planner.churn_threshold", 0.15, 0.0, 1.0);
-  twcfg.planner.threads =
-      static_cast<std::size_t>(int_in(cfg, "planner.threads", 1, 1, 64));
-  twcfg.force_scalar_simd = cfg.get_bool_or("simd.force_scalar", false);
-  twcfg.phase2_duration =
-      util::sec(int_in(cfg, "phase2_seconds", 5, 1, 3600));
-  twcfg.pinned_targets = cfg.get_epc_list("pinned_targets");
-  twcfg.assessor.mobile_vote_threshold =
-      static_cast<std::size_t>(int_in(cfg, "votes", 1, 1, 100));
-  twcfg.assessor.detector.phase_mog.max_components =
-      static_cast<std::size_t>(int_in(cfg, "k", 8, 1, 64));
-  // Any value is bit-identical to 1 (the differential tests enforce it);
-  // raising it only buys ingestion throughput on large scenes.
-  twcfg.assessor_threads =
-      static_cast<std::size_t>(int_in(cfg, "assessor_threads", 1, 1, 64));
   twcfg.resilience.retry.max_attempts =
       static_cast<std::size_t>(int_in(cfg, "retry_attempts", 3, 1, 10));
   twcfg.resilience.degrade_after_failures =
