@@ -7,11 +7,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <set>
 
 #include "bench_report.hpp"
-#include "core/incremental_planner.hpp"
 #include "core/setcover.hpp"
 #include "util/rng.hpp"
 #include "util/wall_clock.hpp"
@@ -160,109 +157,6 @@ BENCHMARK(BM_PlanningSweepReference)
     ->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 
-/// A scene under synthetic per-cycle churn: random arrivals/departures
-/// plus mover-set flips, with the target count held roughly constant.
-/// Random picks go through lower_bound on a random EPC so mutation stays
-/// O(log n) even at a million tags.
-class ChurnWorld {
- public:
-  ChurnWorld(std::size_t n, std::size_t n_targets, std::uint64_t seed)
-      : rng_(seed), target_count_(n_targets) {
-    while (scene_.size() < n) scene_.insert(util::Epc::random(rng_));
-    top_up_targets();
-  }
-
-  /// Applies ~`events` scene/target deltas: half departures, half
-  /// arrivals, plus events/8 pure mover flips among staying tags.
-  void churn(std::size_t events) {
-    for (std::size_t i = 0; i < events / 2 && scene_.size() > 1; ++i) {
-      const util::Epc victim = random_scene_epc();
-      targets_.erase(victim);
-      scene_.erase(victim);
-    }
-    for (std::size_t i = 0; i < events / 2; ++i) {
-      scene_.insert(util::Epc::random(rng_));
-    }
-    for (std::size_t i = 0; i < events / 8 && !targets_.empty(); ++i) {
-      targets_.erase(targets_.begin());
-    }
-    top_up_targets();
-  }
-
-  std::vector<util::Epc> scene() const {
-    return {scene_.begin(), scene_.end()};
-  }
-  std::vector<util::Epc> targets() const {
-    return {targets_.begin(), targets_.end()};
-  }
-
- private:
-  util::Epc random_scene_epc() {
-    auto it = scene_.lower_bound(util::Epc::random(rng_));
-    if (it == scene_.end()) it = scene_.begin();
-    return *it;
-  }
-
-  void top_up_targets() {
-    while (targets_.size() < target_count_ && targets_.size() < scene_.size()) {
-      targets_.insert(random_scene_epc());
-    }
-  }
-
-  std::set<util::Epc> scene_;
-  std::set<util::Epc> targets_;
-  util::Rng rng_;
-  std::size_t target_count_;
-};
-
-/// Extended churn sweep: per-cycle planning cost of the persistent
-/// incremental planner at warehouse scales (131k–1M tags).  Incremental
-/// only — a from-scratch candidate table at these sizes needs hours and
-/// tens-to-hundreds of GB, which is exactly the point of the persistent
-/// index.  The initial full build runs once outside the timed loop; each
-/// iteration churns ~0.4% of the scene and replans.
-void BM_IncrementalChurnSweep(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  ChurnWorld world(n, sweep_target_count(n), 31);
-  core::IncrementalPlanner planner(core::InventoryCostModel::paper_fit(),
-                                   0.2);
-  planner.plan_cycle(world.scene(), world.targets());
-  const std::size_t events = n / 256;
-  for (auto _ : state) {
-    state.PauseTiming();
-    world.churn(events);
-    const auto scene = world.scene();
-    const auto targets = world.targets();
-    state.ResumeTiming();
-    auto plan = planner.plan_cycle(scene, targets);
-    benchmark::DoNotOptimize(plan.estimated_cost_s);
-  }
-  state.counters["live_rows"] =
-      static_cast<double>(planner.stats().live_rows);
-  state.counters["rebuilds"] =
-      static_cast<double>(planner.stats().full_rebuilds);
-}
-BENCHMARK(BM_IncrementalChurnSweep)
-    ->Arg(131072)
-    ->Arg(262144)
-    ->Arg(1048576)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(6);
-
-bool plans_equal(const core::Schedule& a, const core::Schedule& b) {
-  if (a.selections.size() != b.selections.size()) return false;
-  for (std::size_t i = 0; i < a.selections.size(); ++i) {
-    if (!(a.selections[i].bitmask == b.selections[i].bitmask)) return false;
-    if (a.selections[i].covered_total != b.selections[i].covered_total ||
-        a.selections[i].covered_targets != b.selections[i].covered_targets) {
-      return false;
-    }
-  }
-  return a.estimated_cost_s == b.estimated_cost_s &&
-         a.used_naive_fallback == b.used_naive_fallback &&
-         a.covered_union == b.covered_union;
-}
-
 /// Console output as usual, plus every run teed into a BenchReport so the
 /// microbench emits the same BENCH_<name>.json as the scenario harnesses.
 class JsonTeeReporter : public benchmark::ConsoleReporter {
@@ -337,90 +231,6 @@ int main(int argc, char** argv) {
     report.add("planning_speedup_at_4096", ref_ms / fast_ms, "ratio");
     std::printf("planning speedup at 4096 tags: %.1fx (%.1f ms -> %.1f ms)\n",
                 ref_ms / fast_ms, ref_ms, fast_ms);
-  }
-  // Headline: amortized per-cycle planning cost of the persistent
-  // incremental planner vs the from-scratch pipeline on the same churn
-  // trace.  Acceptance point: 65,536 tags with ≤ 20% movers (the sweep's
-  // 1,024 targets are 1.6%); TAGWATCH_BENCH_INCREMENTAL_N shrinks the
-  // scene for CI smoke runs.  From-scratch is min-of-reps to reject
-  // shared-runner noise; incremental is the total over a full rebuild
-  // cycle plus every churn cycle, divided by the cycle count — the
-  // rebuild amortizes instead of being cherry-picked away.  Exits
-  // non-zero unless both cycles checked are plan-equal to the oracle.
-  {
-    std::size_t n = 65536;
-    if (const char* env = std::getenv("TAGWATCH_BENCH_INCREMENTAL_N")) {
-      const long long v = std::atoll(env);
-      if (v >= 64) n = static_cast<std::size_t>(v);
-    }
-    const std::size_t n_targets = sweep_target_count(n);
-    constexpr int kCycles = 6;  // After the initial full-rebuild cycle.
-    ChurnWorld world(n, n_targets, 37);
-    std::vector<std::vector<util::Epc>> scenes;
-    std::vector<std::vector<util::Epc>> target_sets;
-    scenes.push_back(world.scene());
-    target_sets.push_back(world.targets());
-    for (int c = 0; c < kCycles; ++c) {
-      world.churn(n / 256);
-      scenes.push_back(world.scene());
-      target_sets.push_back(world.targets());
-    }
-
-    util::WallClock& wall = util::WallClock::system();
-    const core::GreedyCoverScheduler lazy(
-        core::InventoryCostModel::paper_fit(), core::GreedyEvaluation::kLazy);
-
-    // From-scratch per-cycle cost, min over reps of the full pipeline
-    // (index build + candidate mapping + greedy) on a mid-trace cycle.
-    double scratch_ms = 0.0;
-    core::Schedule oracle_mid;
-    for (int rep = 0; rep < 2; ++rep) {
-      const double t0 = wall.now_seconds();
-      core::BitmaskIndex index(scenes[1]);
-      oracle_mid = lazy.plan(index, index.bitmap_of(target_sets[1]));
-      const double ms = (wall.now_seconds() - t0) * 1e3;
-      if (rep == 0 || ms < scratch_ms) scratch_ms = ms;
-    }
-
-    // Incremental planner over the whole trace, rebuild cycle included.
-    core::IncrementalPlanner planner(core::InventoryCostModel::paper_fit(),
-                                     0.2);
-    double inc_total_ms = 0.0;
-    core::Schedule inc_mid;
-    core::Schedule inc_last;
-    for (std::size_t c = 0; c < scenes.size(); ++c) {
-      const double t0 = wall.now_seconds();
-      core::Schedule plan = planner.plan_cycle(scenes[c], target_sets[c]);
-      inc_total_ms += (wall.now_seconds() - t0) * 1e3;
-      if (c == 1) inc_mid = plan;
-      if (c + 1 == scenes.size()) inc_last = std::move(plan);
-    }
-    const double inc_ms =
-        inc_total_ms / static_cast<double>(scenes.size());
-
-    // Differential check: the mid-trace cycle against the oracle plan the
-    // timing reps already produced, and the final cycle against a fresh
-    // from-scratch plan (proving equivalence survives accumulated churn).
-    if (!plans_equal(inc_mid, oracle_mid)) {
-      std::fprintf(stderr, "incremental speedup: plan mismatch (mid)\n");
-      return 1;
-    }
-    core::BitmaskIndex last_index(scenes.back());
-    const core::Schedule oracle_last =
-        lazy.plan(last_index, last_index.bitmap_of(target_sets.back()));
-    if (!plans_equal(inc_last, oracle_last)) {
-      std::fprintf(stderr, "incremental speedup: plan mismatch (last)\n");
-      return 1;
-    }
-
-    report.add("incremental_scene_tags", static_cast<double>(n), "count");
-    report.add("planning_scratch_ms", scratch_ms, "ms");
-    report.add("planning_incremental_amortized_ms", inc_ms, "ms");
-    report.add("incremental_speedup", scratch_ms / inc_ms, "ratio");
-    std::printf(
-        "incremental planning speedup at %zu tags: %.1fx "
-        "(%.1f ms -> %.1f ms amortized over %zu cycles)\n",
-        n, scratch_ms / inc_ms, scratch_ms, inc_ms, scenes.size());
   }
   std::printf("wrote %s\n", report.write().c_str());
   return 0;

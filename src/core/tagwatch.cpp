@@ -339,19 +339,14 @@ CycleReport TagwatchController::run_cycle() {
   }
 
   if (!read_all) {
-    if (config_.planner.incremental &&
-        config_.mode == ScheduleMode::kGreedyCover) {
-      // Persistent cross-cycle planner: diff against the previous scene
-      // and patch the candidate structure instead of rebuilding it.
-      if (incremental_planner_ == nullptr) {
-        incremental_planner_ = std::make_unique<IncrementalPlanner>(
-            config_.cost_model, config_.planner.churn_threshold, &pool_);
-      }
-      report.schedule =
-          incremental_planner_->plan_cycle(report.scene, report.targets);
-      report.planner_incremental = true;
-      report.planner_rebuild =
-          incremental_planner_->stats().last_was_rebuild;
+    // The plan is a pure function of (scene, targets): the cost model,
+    // mode and evaluation are fixed per controller, and threads and ISA
+    // never change a plan.  A cycle repeating the last planned inputs
+    // reuses that plan; any other plans from scratch.
+    if (last_plan_ && last_plan_->scene == report.scene &&
+        last_plan_->targets == report.targets) {
+      report.schedule = last_plan_->schedule;
+      report.plan_reused = true;
     } else {
       BitmaskIndex index(report.scene);
       const util::IndicatorBitmap targets = index.bitmap_of(report.targets);
@@ -360,6 +355,7 @@ CycleReport TagwatchController::run_cycle() {
       report.schedule = config_.mode == ScheduleMode::kNaiveEpcMasks
                             ? scheduler.naive_plan(index, targets)
                             : scheduler.plan(index, targets, &pool_);
+      last_plan_ = LastPlan{report.scene, report.targets, report.schedule};
     }
   }
   report.read_all_fallback = read_all;

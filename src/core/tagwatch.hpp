@@ -28,7 +28,6 @@
 
 #include "core/assessor.hpp"
 #include "core/history.hpp"
-#include "core/incremental_planner.hpp"
 #include "core/parallel_assessor.hpp"
 #include "core/pipeline.hpp"
 #include "core/resilience.hpp"
@@ -47,29 +46,14 @@ enum class ScheduleMode {
   kReadAll,        ///< Baseline: no selection — keep inventorying everything.
 };
 
-/// Cross-cycle Phase-II planning policy (under ScheduleMode::kGreedyCover).
-struct PlannerConfig {
-  /// Keep the candidate structure alive across cycles and apply per-cycle
-  /// scene/target deltas instead of rebuilding the BitmaskIndex + greedy
-  /// cover from scratch.  Plans are bit-identical either way (enforced by
-  /// differential tests); incremental planning is the large-scene fast
-  /// path (131k–1M tags).
-  bool incremental = false;
-  /// Delta fraction of the scene (arrivals + departures + target flips,
-  /// over scene size) above which the incremental planner rebuilds its
-  /// structure from scratch instead of patching it.
-  double churn_threshold = 0.15;
-};
-
 /// Controller configuration (paper §6 "parameter choice" defaults).
 struct TagwatchConfig {
   AssessorConfig assessor = {};
   /// Worker threads of the controller's one util::TaskPool, shared by
   /// Phase-I ingestion (one shard per thread) and Phase-II candidate
-  /// generation (BitmaskIndex sweeps, incremental-planner rebuilds).  Any
-  /// value produces bit-identical cycles, plans and journal digests
-  /// (enforced by differential tests); raising it only buys throughput on
-  /// large scenes.
+  /// generation (BitmaskIndex sweeps).  Any value produces bit-identical
+  /// cycles, plans and journal digests (enforced by differential tests);
+  /// raising it only buys throughput on large scenes.
   std::size_t threads = 1;
   /// Cost model used by the scheduler's relative-gain formula; fit it on
   /// measurements (bench_irr_model) or take the paper's values.
@@ -88,9 +72,6 @@ struct TagwatchConfig {
   /// [100 ms, 60 s].  nullptr: use phase2_duration unchanged.
   std::function<util::SimDuration(std::size_t targets, std::size_t scene)>
       phase2_policy;
-  /// Cross-cycle planner policy (kGreedyCover only; other modes and the
-  /// degraded/read-all paths never consult it).
-  PlannerConfig planner;
   /// Above this mobile fraction, selective reading stops paying off and the
   /// controller falls back to reading everything (§3 "Scope").
   double mobile_fraction_threshold = 0.20;
@@ -143,13 +124,10 @@ struct CycleReport {
   /// True when Phase II read everything (no targets, fraction above
   /// threshold, or kReadAll mode).
   bool read_all_fallback = false;
-  /// True when the schedule came from the persistent cross-cycle planner
-  /// (config.planner.incremental under kGreedyCover).
-  bool planner_incremental = false;
-  /// With planner_incremental: true when this cycle's delta exceeded the
-  /// churn threshold (or the planner had no prior state) and the candidate
-  /// structure was rebuilt from scratch rather than patched.
-  bool planner_rebuild = false;
+  /// True when this selective cycle's scene and targets equal the last
+  /// planned cycle's, so its schedule is that cycle's plan, reused
+  /// without re-planning (the plan is a pure function of the two).
+  bool plan_reused = false;
   std::size_t phase1_readings = 0;
   std::size_t phase2_readings = 0;
   util::SimDuration phase1_duration{0};
@@ -241,13 +219,6 @@ class TagwatchController {
     return quarantined_;
   }
 
-  /// The persistent cross-cycle planner, or nullptr when
-  /// config().planner.incremental is off or no selective cycle has run
-  /// yet (it is constructed lazily on first use).
-  const IncrementalPlanner* incremental_planner() const noexcept {
-    return incremental_planner_.get();
-  }
-
  private:
   /// Updates the report's per-phase counters for every reading in the
   /// batch, then pushes the whole batch through the pipeline in one
@@ -289,8 +260,13 @@ class TagwatchController {
   bool rearm_once_ = false;
   /// Scene-gated extra Phase II targets (see set_extra_targets()).
   std::vector<util::Epc> extra_targets_;
-  /// Lazily-built persistent Phase II planner (planner.incremental).
-  std::unique_ptr<IncrementalPlanner> incremental_planner_;
+  /// The last planned selective cycle: its inputs and the plan they gave.
+  struct LastPlan {
+    std::vector<util::Epc> scene;
+    std::vector<util::Epc> targets;
+    Schedule schedule;
+  };
+  std::optional<LastPlan> last_plan_;
 
   // ------------------------------------------------- resilience state
   HealthMetrics health_;

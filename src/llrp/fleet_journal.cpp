@@ -1,9 +1,9 @@
 #include "llrp/fleet_journal.hpp"
 
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
+#include "llrp/journal_csv.hpp"
 #include "util/bitstring.hpp"
 
 namespace tagwatch::llrp {
@@ -11,62 +11,23 @@ namespace tagwatch::llrp {
 namespace {
 
 constexpr const char* kHeader = "# tagwatch-fleet-journal v1";
+constexpr const char* kJournal = "FleetJournal";
 
-/// Splits one CSV line into fields (no quoting: fields never contain ',').
-std::vector<std::string> split_fields(std::string_view line) {
-  std::vector<std::string> fields;
-  std::size_t pos = 0;
-  while (pos <= line.size()) {
-    const std::size_t comma = line.find(',', pos);
-    if (comma == std::string_view::npos) {
-      fields.emplace_back(line.substr(pos));
-      break;
-    }
-    fields.emplace_back(line.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  return fields;
-}
+using journal_csv::sanitize_field;
+using journal_csv::split_fields;
 
 [[noreturn]] void fail(std::size_t line_no, const std::string& what) {
-  throw std::invalid_argument("FleetJournal: line " + std::to_string(line_no) +
-                              ": " + what);
+  journal_csv::fail(kJournal, line_no, what);
 }
 
 std::int64_t parse_int(const std::string& s, std::size_t line_no) {
-  try {
-    std::size_t used = 0;
-    const std::int64_t v = std::stoll(s, &used);
-    if (used != s.size()) fail(line_no, "trailing garbage in '" + s + "'");
-    return v;
-  } catch (const std::invalid_argument&) {
-    fail(line_no, "expected integer, got '" + s + "'");
-  } catch (const std::out_of_range&) {
-    fail(line_no, "integer out of range: '" + s + "'");
-  }
-}
-
-std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64-bit offset basis.
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-/// CSV fields never contain ',' or '\n'; free-form text is flattened.
-std::string sanitize_field(std::string s) {
-  for (char& c : s) {
-    if (c == ',' || c == '\n' || c == '\r') c = ';';
-  }
-  return s;
+  return journal_csv::parse_int(kJournal, s, line_no);
 }
 
 }  // namespace
 
 std::uint64_t fleet_journal_digest(const FleetJournal& journal) {
-  return fnv1a(journal.to_csv());
+  return journal_csv::fnv1a(journal.to_csv());
 }
 
 std::string FleetJournal::to_csv() const {
@@ -195,18 +156,11 @@ FleetJournal FleetJournal::from_csv(std::string_view csv) {
 }
 
 void FleetJournal::save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("FleetJournal: cannot open " + path);
-  out << to_csv();
-  if (!out) throw std::runtime_error("FleetJournal: write failed: " + path);
+  journal_csv::save(kJournal, path, to_csv());
 }
 
 FleetJournal FleetJournal::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("FleetJournal: cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return from_csv(buf.str());
+  return from_csv(journal_csv::load(kJournal, path));
 }
 
 }  // namespace tagwatch::llrp

@@ -1,11 +1,12 @@
 #include "llrp/reader_journal.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
+#include "llrp/journal_csv.hpp"
 #include "llrp/rospec_xml.hpp"
 
 namespace tagwatch::llrp {
@@ -13,6 +14,13 @@ namespace tagwatch::llrp {
 namespace {
 
 constexpr const char* kHeader = "# tagwatch-reader-journal v1";
+constexpr const char* kJournal = "ReaderJournal";
+/// Bytes in the shortest possible reading line, "R,,0,0,0,0,0": the input
+/// holds at most size / 12 readings.
+constexpr std::size_t kMinReadingLineBytes = 12;
+
+using journal_csv::sanitize_field;
+using journal_csv::split_fields;
 
 std::string format_double(double v) {
   char buf[64];
@@ -21,38 +29,12 @@ std::string format_double(double v) {
   return buf;
 }
 
-/// Splits one CSV line into fields (no quoting: fields never contain ',').
-std::vector<std::string> split_fields(std::string_view line) {
-  std::vector<std::string> fields;
-  std::size_t pos = 0;
-  while (pos <= line.size()) {
-    const std::size_t comma = line.find(',', pos);
-    if (comma == std::string_view::npos) {
-      fields.emplace_back(line.substr(pos));
-      break;
-    }
-    fields.emplace_back(line.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  return fields;
-}
-
 [[noreturn]] void fail(std::size_t line_no, const std::string& what) {
-  throw std::invalid_argument("ReaderJournal: line " +
-                              std::to_string(line_no) + ": " + what);
+  journal_csv::fail(kJournal, line_no, what);
 }
 
 std::int64_t parse_int(const std::string& s, std::size_t line_no) {
-  try {
-    std::size_t used = 0;
-    const std::int64_t v = std::stoll(s, &used);
-    if (used != s.size()) fail(line_no, "trailing garbage in '" + s + "'");
-    return v;
-  } catch (const std::invalid_argument&) {
-    fail(line_no, "expected integer, got '" + s + "'");
-  } catch (const std::out_of_range&) {
-    fail(line_no, "integer out of range: '" + s + "'");
-  }
+  return journal_csv::parse_int(kJournal, s, line_no);
 }
 
 std::uint64_t parse_hex64(const std::string& s, std::size_t line_no) {
@@ -74,36 +56,13 @@ double parse_double(const std::string& s, std::size_t line_no) {
 
 }  // namespace
 
-namespace {
-
-std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64-bit offset basis.
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
+std::uint64_t rospec_digest(const ROSpec& spec) {
+  return journal_csv::fnv1a(to_xml(spec));
 }
-
-}  // namespace
-
-std::uint64_t rospec_digest(const ROSpec& spec) { return fnv1a(to_xml(spec)); }
 
 std::uint64_t journal_digest(const ReaderJournal& journal) {
-  return fnv1a(journal.to_csv());
+  return journal_csv::fnv1a(journal.to_csv());
 }
-
-namespace {
-
-/// CSV fields never contain ',' or '\n'; free-form text is flattened.
-std::string sanitize_field(std::string s) {
-  for (char& c : s) {
-    if (c == ',' || c == '\n' || c == '\r') c = ';';
-  }
-  return s;
-}
-
-}  // namespace
 
 std::string ReaderJournal::to_csv() const {
   std::ostringstream out;
@@ -189,8 +148,14 @@ ReaderJournal ReaderJournal::from_csv(std::string_view csv) {
       st.success_slots = static_cast<std::size_t>(parse_int(f[8], line_no));
       st.lost_slots = static_cast<std::size_t>(parse_int(f[9], line_no));
       st.duration = util::SimDuration(parse_int(f[10], line_no));
-      pending_readings = static_cast<std::size_t>(parse_int(f[11], line_no));
-      e.report.readings.reserve(pending_readings);
+      const std::int64_t count = parse_int(f[11], line_no);
+      if (count < 0) fail(line_no, "negative reading count");
+      pending_readings = static_cast<std::size_t>(count);
+      // A hostile count must not size the allocation: reserve no more
+      // than the input could hold, and let a short input end in the
+      // "truncated mid-entry" error below.
+      e.report.readings.reserve(
+          std::min(pending_readings, csv.size() / kMinReadingLineBytes));
       journal.push(std::move(e));
     } else if (f[0] == "X") {
       if (journal.entries_.empty() ||
@@ -237,18 +202,11 @@ ReaderJournal ReaderJournal::from_csv(std::string_view csv) {
 }
 
 void ReaderJournal::save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("ReaderJournal: cannot open " + path);
-  out << to_csv();
-  if (!out) throw std::runtime_error("ReaderJournal: write failed: " + path);
+  journal_csv::save(kJournal, path, to_csv());
 }
 
 ReaderJournal ReaderJournal::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("ReaderJournal: cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return from_csv(buf.str());
+  return from_csv(journal_csv::load(kJournal, path));
 }
 
 }  // namespace tagwatch::llrp

@@ -102,15 +102,6 @@ std::size_t scalar_nonzero_indices(const std::uint64_t* w, std::size_t n,
   return m;
 }
 
-std::size_t scalar_nonzero_indices_u32(const std::uint64_t* w, std::size_t n,
-                                       std::uint32_t* out) noexcept {
-  std::size_t m = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (w[i] != 0) out[m++] = static_cast<std::uint32_t>(i);
-  }
-  return m;
-}
-
 void scalar_scatter_words(std::uint64_t* dst, const std::uint64_t* src,
                           const std::size_t* idx, std::size_t n_idx,
                           std::size_t n_words) noexcept {
@@ -175,7 +166,6 @@ constexpr KernelTable kScalarTable = {
     &scalar_fused_and_columns,
     &scalar_gather_and_popcount,
     &scalar_nonzero_indices,
-    &scalar_nonzero_indices_u32,
     &scalar_scatter_words,
     &scalar_strided_weight_decay,
     &scalar_strided_match_first,
@@ -270,11 +260,6 @@ std::size_t gather_and_popcount(const std::uint64_t* a, const std::uint64_t* b,
 std::size_t nonzero_indices(const std::uint64_t* w, std::size_t n,
                             std::size_t* out) noexcept {
   return resolve_active()->nonzero_indices(w, n, out);
-}
-
-std::size_t nonzero_indices_u32(const std::uint64_t* w, std::size_t n,
-                                std::uint32_t* out) noexcept {
-  return resolve_active()->nonzero_indices_u32(w, n, out);
 }
 
 void scatter_words(std::uint64_t* dst, const std::uint64_t* src,

@@ -84,7 +84,7 @@ std::size_t or_inplace_added(std::uint64_t* dst, const std::uint64_t* src,
 
 /// dst[i] = head[i] & cols[0][i] & … & cols[n_cols-1][i]; returns the
 /// popcount of dst.  The fused multi-column AND of the candidate sweep's
-/// skip region and the incremental planner's coverage materialization.
+/// skip region.
 /// Columns are ANDed in order with an early-zero cut (results identical
 /// either way — AND is monotone).  `dst` may alias `head`, never a column.
 std::size_t fused_and_columns(std::uint64_t* dst, const std::uint64_t* head,
@@ -102,11 +102,6 @@ std::size_t gather_and_popcount(const std::uint64_t* a, const std::uint64_t* b,
 /// and returns how many there are.  `out` must hold n entries.
 std::size_t nonzero_indices(const std::uint64_t* w, std::size_t n,
                             std::size_t* out) noexcept;
-
-/// nonzero_indices with 32-bit output indices (n must fit; the
-/// incremental planner's active lists are uint32_t).
-std::size_t nonzero_indices_u32(const std::uint64_t* w, std::size_t n,
-                                std::uint32_t* out) noexcept;
 
 /// Sparse scatter-copy: zero-fills dst[0..n_words), then copies
 /// dst[idx[k]] = src[idx[k]] for the n_idx listed indices — the sparse
@@ -213,8 +208,6 @@ struct KernelTable {
                                      std::size_t) noexcept;
   std::size_t (*nonzero_indices)(const std::uint64_t*, std::size_t,
                                  std::size_t*) noexcept;
-  std::size_t (*nonzero_indices_u32)(const std::uint64_t*, std::size_t,
-                                     std::uint32_t*) noexcept;
   void (*scatter_words)(std::uint64_t*, const std::uint64_t*,
                         const std::size_t*, std::size_t,
                         std::size_t) noexcept;

@@ -224,25 +224,6 @@ TAGWATCH_AVX2 std::size_t avx2_nonzero_indices(const std::uint64_t* w,
   return m;
 }
 
-TAGWATCH_AVX2 std::size_t avx2_nonzero_indices_u32(const std::uint64_t* w,
-                                                   std::size_t n,
-                                                   std::uint32_t* out) noexcept {
-  std::size_t m = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
-    if (_mm256_testz_si256(v, v) != 0) continue;
-    for (std::size_t j = i; j < i + 4; ++j) {
-      if (w[j] != 0) out[m++] = static_cast<std::uint32_t>(j);
-    }
-  }
-  for (; i < n; ++i) {
-    if (w[i] != 0) out[m++] = static_cast<std::uint32_t>(i);
-  }
-  return m;
-}
-
 TAGWATCH_AVX2 void avx2_scatter_words(std::uint64_t* dst,
                                       const std::uint64_t* src,
                                       const std::size_t* idx,
@@ -429,7 +410,6 @@ constexpr KernelTable kAvx2Table = {
     &avx2_fused_and_columns,
     &avx2_gather_and_popcount,
     &avx2_nonzero_indices,
-    &avx2_nonzero_indices_u32,
     &avx2_scatter_words,
     &avx2_strided_weight_decay,
     &avx2_strided_match_first,

@@ -116,24 +116,36 @@ TEST(FleetController, SessionPolicyAssignsPerReaderSessions) {
 TEST(FleetController, PlannerConfigPropagatesToEveryReader) {
   FleetBed bed(2, 10, 0, 2);
   FleetConfig cfg = short_fleet_config();
-  cfg.controller.planner.incremental = true;
-  cfg.controller.planner.churn_threshold = 0.5;
+  const InventoryCostModel cost(/*tau0_s=*/0.005, /*taubar_s=*/0.001);
+  cfg.controller.cost_model = cost;
+  cfg.controller.greedy_evaluation = GreedyEvaluation::kDense;
   FleetController fleet(cfg, bed.specs, &bed.world);
   for (std::size_t r = 0; r < 2; ++r) {
-    EXPECT_TRUE(fleet.controller(r).config().planner.incremental);
-    EXPECT_EQ(fleet.controller(r).config().planner.churn_threshold, 0.5);
+    EXPECT_EQ(fleet.controller(r).config().greedy_evaluation,
+              GreedyEvaluation::kDense);
+    EXPECT_EQ(fleet.controller(r).config().cost_model.cost_seconds(10),
+              cost.cost_seconds(10));
   }
-  fleet.run_cycles(8);
-  // Each reader that got past cold start planned via its own persistent
-  // planner; the stats invariant must hold wherever one was built.
+  // Every reader plans with the fleet's cost model: each selective cycle's
+  // schedule equals a fresh plan of its (scene, targets) under it.
+  const GreedyCoverScheduler oracle(cost, GreedyEvaluation::kDense);
   bool planned = false;
-  for (std::size_t r = 0; r < 2; ++r) {
-    const IncrementalPlanner* p = fleet.controller(r).incremental_planner();
-    if (p == nullptr) continue;
-    planned = true;
-    EXPECT_GT(p->stats().cycles, 0u);
-    EXPECT_EQ(p->stats().cycles,
-              p->stats().incremental_cycles + p->stats().full_rebuilds);
+  for (const FleetCycleReport& fr : fleet.run_cycles(8)) {
+    for (const FleetReaderCycle& rc : fr.readers) {
+      if (rc.skipped || rc.report.read_all_fallback) continue;
+      planned = true;
+      const BitmaskIndex index(rc.report.scene);
+      const Schedule fresh =
+          oracle.plan(index, index.bitmap_of(rc.report.targets));
+      EXPECT_EQ(rc.report.schedule.estimated_cost_s, fresh.estimated_cost_s)
+          << "reader " << rc.reader << " cycle " << fr.cycle_index;
+      ASSERT_EQ(rc.report.schedule.selections.size(),
+                fresh.selections.size());
+      for (std::size_t s = 0; s < fresh.selections.size(); ++s) {
+        EXPECT_EQ(rc.report.schedule.selections[s].bitmask,
+                  fresh.selections[s].bitmask);
+      }
+    }
   }
   EXPECT_TRUE(planned);
 }

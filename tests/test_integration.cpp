@@ -2,6 +2,10 @@
 // reader, RF channel, and world.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <utility>
+
 #include "core/tagwatch.hpp"
 #include "llrp/sim_reader_client.hpp"
 #include "util/circular.hpp"
@@ -205,55 +209,59 @@ TEST(TagwatchIntegration, TagEnteringMidRunIsAdopted) {
   EXPECT_TRUE(seen);
 }
 
-TEST(TagwatchIntegration, IncrementalPlannerMatchesFromScratchPipeline) {
-  // Two identically-seeded testbeds, one controller planning from scratch
-  // each cycle, one with the persistent cross-cycle planner: every cycle's
-  // schedule must be bit-identical (cost doubles included).
-  Testbed bed_ref(30, 2, 77);
-  Testbed bed_inc(30, 2, 77);
-  TagwatchConfig cfg_ref = test_config();
-  TagwatchConfig cfg_inc = test_config();
-  cfg_inc.planner.incremental = true;
-  cfg_inc.planner.churn_threshold = 0.25;
-  // Scheduling compute runs on the host clock, so charging it would skew
-  // the two simulations apart; keep the reader clocks in lockstep.
-  cfg_ref.charge_compute_time = false;
-  cfg_inc.charge_compute_time = false;
-  TagwatchController ref(cfg_ref, *bed_ref.client);
-  TagwatchController inc(cfg_inc, *bed_inc.client);
-  EXPECT_EQ(inc.incremental_planner(), nullptr);
+TEST(TagwatchIntegration, PlanReuseMatchesFromScratchPlan) {
+  // Every selective cycle's schedule, planned or reused, must equal a fresh
+  // BitmaskIndex + GreedyCoverScheduler plan of its (scene, targets), and
+  // plan_reused must be set exactly when both repeat the last planned
+  // cycle's.  A static scene with pinned targets repeats cycle after
+  // cycle; adding an extra target must re-plan.
+  Testbed bed(30, 0, 77);
+  TagwatchConfig cfg = test_config();
+  cfg.pinned_targets = {bed.world.tags()[2].epc, bed.world.tags()[5].epc};
+  const util::Epc extra = bed.world.tags()[11].epc;
+  TagwatchController ctl(cfg, *bed.client);
+  const GreedyCoverScheduler oracle(cfg.cost_model, cfg.greedy_evaluation);
 
-  bool compared_selective = false;
-  for (int i = 0; i < 10; ++i) {
-    const CycleReport a = ref.run_cycle();
-    const CycleReport b = inc.run_cycle();
-    ASSERT_EQ(a.scene, b.scene) << "cycle " << i;
-    ASSERT_EQ(a.targets, b.targets) << "cycle " << i;
-    EXPECT_EQ(a.read_all_fallback, b.read_all_fallback) << "cycle " << i;
-    EXPECT_FALSE(a.planner_incremental);
-    if (b.read_all_fallback) continue;
-    compared_selective = true;
-    EXPECT_TRUE(b.planner_incremental) << "cycle " << i;
-    ASSERT_EQ(a.schedule.selections.size(), b.schedule.selections.size())
-        << "cycle " << i;
-    for (std::size_t s = 0; s < a.schedule.selections.size(); ++s) {
-      EXPECT_EQ(a.schedule.selections[s].bitmask,
-                b.schedule.selections[s].bitmask)
-          << "cycle " << i << " selection " << s;
+  constexpr int kExtraFrom = 9;
+  using Inputs = std::pair<std::vector<util::Epc>, std::vector<util::Epc>>;
+  std::optional<Inputs> last_planned;
+  std::size_t reused = 0;
+  bool replanned_for_extra = false;
+  for (int i = 0; i < 14; ++i) {
+    SCOPED_TRACE("cycle " + std::to_string(i));
+    if (i == kExtraFrom) ctl.set_extra_targets({extra});
+    const CycleReport r = ctl.run_cycle();
+    if (r.read_all_fallback) {
+      EXPECT_FALSE(r.plan_reused);
+      continue;
     }
-    EXPECT_EQ(a.schedule.estimated_cost_s, b.schedule.estimated_cost_s)
-        << "cycle " << i;
-    EXPECT_EQ(a.schedule.covered_union, b.schedule.covered_union)
-        << "cycle " << i;
-    EXPECT_EQ(a.schedule.used_naive_fallback,
-              b.schedule.used_naive_fallback)
-        << "cycle " << i;
+    const bool repeat = last_planned && last_planned->first == r.scene &&
+                        last_planned->second == r.targets;
+    EXPECT_EQ(r.plan_reused, repeat);
+    if (r.plan_reused) {
+      ++reused;
+    } else {
+      last_planned.emplace(r.scene, r.targets);
+    }
+    if (i >= kExtraFrom && !replanned_for_extra &&
+        std::binary_search(r.targets.begin(), r.targets.end(), extra)) {
+      EXPECT_FALSE(r.plan_reused);
+      replanned_for_extra = true;
+    }
+
+    const BitmaskIndex index(r.scene);
+    const Schedule fresh = oracle.plan(index, index.bitmap_of(r.targets));
+    ASSERT_EQ(r.schedule.selections.size(), fresh.selections.size());
+    for (std::size_t s = 0; s < fresh.selections.size(); ++s) {
+      EXPECT_EQ(r.schedule.selections[s].bitmask, fresh.selections[s].bitmask)
+          << "selection " << s;
+    }
+    EXPECT_EQ(r.schedule.estimated_cost_s, fresh.estimated_cost_s);
+    EXPECT_EQ(r.schedule.covered_union, fresh.covered_union);
+    EXPECT_EQ(r.schedule.used_naive_fallback, fresh.used_naive_fallback);
   }
-  EXPECT_TRUE(compared_selective);
-  ASSERT_NE(inc.incremental_planner(), nullptr);
-  const auto& stats = inc.incremental_planner()->stats();
-  EXPECT_GT(stats.cycles, 0u);
-  EXPECT_EQ(stats.cycles, stats.incremental_cycles + stats.full_rebuilds);
+  EXPECT_GE(reused, 2u);
+  EXPECT_TRUE(replanned_for_extra);
 }
 
 TEST(TagwatchIntegration, BlockedTagToleratedWithoutDeadlock) {

@@ -1,8 +1,8 @@
 // Differential tests for parallel Phase-II planning: candidate generation
 // sharded across util::TaskPool and the SIMD kernel dispatch must both be
-// invisible in the output.  Candidate tables, greedy-cover schedules and
-// incremental-planner plans are compared for byte-identity against the
-// serial scalar oracle at every thread count and every available ISA.
+// invisible in the output.  Candidate tables and greedy-cover schedules are
+// compared for byte-identity against the serial scalar oracle at every
+// thread count and every available ISA.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/bitmask.hpp"
-#include "core/incremental_planner.hpp"
 #include "core/setcover.hpp"
 #include "isa_guard.hpp"
 #include "util/epc.hpp"
@@ -128,89 +127,6 @@ TEST(ParallelPlanning, ScheduleIdenticalAcrossIsaAndThreads) {
                                  oracle);
     }
   }
-}
-
-TEST(ParallelPlanning, IncrementalRebuildIdenticalAcrossIsaAndThreads) {
-  IsaGuard guard;
-  util::Rng rng(0x9eb01d);
-  const std::vector<util::Epc> scene = random_scene(768, rng);
-  std::vector<util::Epc> targets;
-  for (const util::Epc& epc : scene) {
-    if (rng.below(24) == 0) targets.push_back(epc);
-  }
-  if (targets.empty()) targets.push_back(scene.front());
-
-  // Oracle: scalar kernels, serial rebuild.
-  util::simd::set_active_isa(util::simd::Isa::kScalar);
-  IncrementalPlanner serial(InventoryCostModel::paper_fit());
-  const Schedule oracle = serial.plan_cycle(scene, targets);
-
-  for (const util::simd::Isa isa :
-       {util::simd::Isa::kScalar, util::simd::detected_isa()}) {
-    util::simd::set_active_isa(isa);
-    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-      SCOPED_TRACE(testing::Message()
-                   << util::simd::isa_name(isa) << " x " << threads);
-      util::TaskPool pool(threads);
-      IncrementalPlanner planner(InventoryCostModel::paper_fit(), 0.15,
-                                 &pool);
-      expect_schedules_identical(planner.plan_cycle(scene, targets), oracle);
-      EXPECT_EQ(planner.stats().full_rebuilds, 1u);
-    }
-  }
-}
-
-TEST(ParallelPlanning, DeltasAfterParallelRebuildStayEquivalent) {
-  // The spliced arena must be structurally sound for later incremental
-  // cycles: churn the scene and keep comparing a pooled planner against a
-  // fresh from-scratch oracle every cycle.
-  util::Rng rng(0xde17a5);
-  std::map<util::Epc, bool> world;
-  while (world.size() < 512) world.emplace(util::Epc::random(rng), false);
-  auto snapshot = [&world] {
-    std::pair<std::vector<util::Epc>, std::vector<util::Epc>> out;
-    for (const auto& [epc, is_target] : world) {
-      out.first.push_back(epc);
-      if (is_target) out.second.push_back(epc);
-    }
-    return out;
-  };
-  auto mutate = [&world, &rng](std::size_t steps) {
-    for (std::size_t i = 0; i < steps; ++i) {
-      auto it = world.begin();
-      std::advance(it, rng.below(static_cast<std::uint32_t>(world.size())));
-      switch (rng.below(3)) {
-        case 0:
-          world.erase(it);
-          break;
-        case 1:
-          world.emplace(util::Epc::random(rng), false);
-          break;
-        default:
-          it->second = !it->second;
-          break;
-      }
-    }
-  };
-
-  for (auto& [epc, is_target] : world) is_target = rng.below(24) == 0;
-  util::TaskPool pool(4);
-  IncrementalPlanner planner(InventoryCostModel::paper_fit(), 0.25, &pool);
-  const GreedyCoverScheduler scheduler(InventoryCostModel::paper_fit());
-  for (int cycle = 0; cycle < 16; ++cycle) {
-    SCOPED_TRACE(cycle);
-    auto [scene, targets] = snapshot();
-    if (targets.empty()) {
-      world.begin()->second = true;
-      std::tie(scene, targets) = snapshot();
-    }
-    const BitmaskIndex index(scene);
-    expect_schedules_identical(
-        planner.plan_cycle(scene, targets),
-        scheduler.plan(index, index.bitmap_of(targets)));
-    mutate(16);
-  }
-  EXPECT_GE(planner.stats().incremental_cycles, 10u);
 }
 
 }  // namespace

@@ -571,60 +571,58 @@ TEST(TagwatchController, FakeWallClockMakesComputeTimingExact) {
 TEST(TagwatchController, AssessorThreadCountIsObservationallyInvisible) {
   // One pool per controller serves Phase-I ingestion and Phase-II
   // candidate generation, and any `threads` value yields byte-identical
-  // cycles.  Same world seed, different threads, under both planners —
-  // every report field that feeds scheduling, metrics, or the journal
-  // must match exactly.  Pinned static tags keep the selective cycles'
-  // target count at >= 2 per thread, so planning really fans out.
-  for (const bool incremental : {false, true}) {
-    SCOPED_TRACE(incremental ? "incremental planner" : "from-scratch planner");
-    std::vector<std::vector<CycleReport>> runs;
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      PipelineBed bed(48, 3, 91);
-      TagwatchConfig cfg;
-      cfg.phase2_duration = util::msec(250);
-      cfg.threads = threads;
-      cfg.planner.incremental = incremental;
-      for (std::size_t i = 3; i < 9; ++i) {
-        cfg.pinned_targets.push_back(bed.world.tags()[i].epc);
-      }
-      // Real host-clock readings would charge run-to-run-varying compute
-      // time onto the simulated timeline; a fake clock keeps both runs on
-      // identical footing so any mismatch is the thread count's fault.
-      util::FakeWallClock clock(/*auto_step=*/0.001);
-      cfg.wall_clock = &clock;
-      TagwatchController ctl(cfg, *bed.client);
-      runs.push_back(ctl.run_cycles(8));
+  // cycles.  Same world seed, different threads — every report field that
+  // feeds scheduling, metrics, or the journal must match exactly.  Pinned
+  // static tags keep the selective cycles' target count at >= 2 per
+  // thread, so planning really fans out.
+  std::vector<std::vector<CycleReport>> runs;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    PipelineBed bed(48, 3, 91);
+    TagwatchConfig cfg;
+    cfg.phase2_duration = util::msec(250);
+    cfg.threads = threads;
+    for (std::size_t i = 3; i < 9; ++i) {
+      cfg.pinned_targets.push_back(bed.world.tags()[i].epc);
     }
-    ASSERT_EQ(runs[0].size(), runs[1].size());
-    std::size_t selective = 0;
-    for (std::size_t c = 0; c < runs[0].size(); ++c) {
-      SCOPED_TRACE("cycle " + std::to_string(c));
-      const CycleReport& a = runs[0][c];
-      const CycleReport& b = runs[1][c];
-      EXPECT_EQ(b.scene, a.scene);
-      EXPECT_EQ(b.mobile, a.mobile);
-      EXPECT_EQ(b.targets, a.targets);
-      EXPECT_EQ(b.read_all_fallback, a.read_all_fallback);
-      EXPECT_EQ(b.phase1_readings, a.phase1_readings);
-      EXPECT_EQ(b.phase2_readings, a.phase2_readings);
-      EXPECT_EQ(b.phase1_duration, a.phase1_duration);
-      EXPECT_EQ(b.phase2_duration, a.phase2_duration);
-      EXPECT_EQ(b.interphase_gap, a.interphase_gap);
-      EXPECT_EQ(b.phase2_counts, a.phase2_counts);
-      EXPECT_EQ(b.slot_totals.slots, a.slot_totals.slots);
-      EXPECT_EQ(b.slot_totals.duration, a.slot_totals.duration);
-      ASSERT_EQ(b.schedule.selections.size(), a.schedule.selections.size());
-      for (std::size_t i = 0; i < a.schedule.selections.size(); ++i) {
-        EXPECT_EQ(b.schedule.selections[i].bitmask,
-                  a.schedule.selections[i].bitmask);
-      }
-      if (!a.read_all_fallback) {
-        ++selective;
-        EXPECT_GE(a.targets.size(), 8u);
-      }
-    }
-    EXPECT_GT(selective, 0u);
+    // Real host-clock readings would charge run-to-run-varying compute
+    // time onto the simulated timeline; a fake clock keeps both runs on
+    // identical footing so any mismatch is the thread count's fault.
+    util::FakeWallClock clock(/*auto_step=*/0.001);
+    cfg.wall_clock = &clock;
+    TagwatchController ctl(cfg, *bed.client);
+    runs.push_back(ctl.run_cycles(8));
   }
+  ASSERT_EQ(runs[0].size(), runs[1].size());
+  std::size_t planned = 0;
+  for (std::size_t c = 0; c < runs[0].size(); ++c) {
+    SCOPED_TRACE("cycle " + std::to_string(c));
+    const CycleReport& a = runs[0][c];
+    const CycleReport& b = runs[1][c];
+    EXPECT_EQ(b.scene, a.scene);
+    EXPECT_EQ(b.mobile, a.mobile);
+    EXPECT_EQ(b.targets, a.targets);
+    EXPECT_EQ(b.read_all_fallback, a.read_all_fallback);
+    EXPECT_EQ(b.plan_reused, a.plan_reused);
+    EXPECT_EQ(b.phase1_readings, a.phase1_readings);
+    EXPECT_EQ(b.phase2_readings, a.phase2_readings);
+    EXPECT_EQ(b.phase1_duration, a.phase1_duration);
+    EXPECT_EQ(b.phase2_duration, a.phase2_duration);
+    EXPECT_EQ(b.interphase_gap, a.interphase_gap);
+    EXPECT_EQ(b.phase2_counts, a.phase2_counts);
+    EXPECT_EQ(b.slot_totals.slots, a.slot_totals.slots);
+    EXPECT_EQ(b.slot_totals.duration, a.slot_totals.duration);
+    ASSERT_EQ(b.schedule.selections.size(), a.schedule.selections.size());
+    for (std::size_t i = 0; i < a.schedule.selections.size(); ++i) {
+      EXPECT_EQ(b.schedule.selections[i].bitmask,
+                a.schedule.selections[i].bitmask);
+    }
+    if (!a.read_all_fallback) {
+      EXPECT_GE(a.targets.size(), 8u);
+      if (!a.plan_reused) ++planned;
+    }
+  }
+  // At least one selective cycle planned rather than reused.
+  EXPECT_GT(planned, 0u);
 }
 
 TEST(TagwatchController, ChargedComputeTimeReachesTheReaderClock) {

@@ -220,6 +220,18 @@ TEST(ReaderJournal, RejectsMalformedCsv) {
           "# tagwatch-reader-journal v1\nE,0123456789abcdef,0,10,1,1,0,0,1,"
           "0,10,1\n"),
       std::invalid_argument);
+  // Hostile reading counts: negative, and far more than the input holds.
+  // Both must be typed parse errors, not allocation failures.
+  EXPECT_THROW(
+      ReaderJournal::from_csv(
+          "# tagwatch-reader-journal v1\nE,0123456789abcdef,0,10,1,1,0,0,1,"
+          "0,10,-1\n"),
+      std::invalid_argument);
+  EXPECT_THROW(
+      ReaderJournal::from_csv(
+          "# tagwatch-reader-journal v1\nE,0123456789abcdef,0,10,1,1,0,0,1,"
+          "0,10,1000000000000\n"),
+      std::invalid_argument);
 }
 
 TEST(ReaderJournal, SaveLoadRoundTrip) {

@@ -16,14 +16,6 @@
 //   scheduler_evaluation = lazy   lazy | dense — greedy-cover gain
 //                                 evaluation (dense is the full-rescan
 //                                 reference path; plans are identical)
-//   planner.incremental = false   keep the Phase-II candidate structure
-//                                 alive across cycles and patch it from
-//                                 scene/target deltas instead of
-//                                 rebuilding (tagwatch mode only; plans
-//                                 are bit-identical either way)
-//   planner.churn_threshold = 0.15  delta fraction of the scene above
-//                                 which the incremental planner rebuilds
-//                                 from scratch [0,1]
 //   threads         = 1           worker threads of each controller's
 //                                 pool: Phase-I ingestion and Phase-II
 //                                 candidate generation [1,64] (output is
@@ -143,8 +135,7 @@ constexpr const char* kAcceptedKeys[] = {
     "pipeline_stats", "fault_injection", "fault_rate", "fault_seed",
     "fault_drop_rate", "fault_duplicate_rate", "fault_corrupt_rate",
     "fault_reconnect_ms", "retry_attempts", "degrade_after",
-    "restore_after", "scheduler_evaluation", "planner.incremental",
-    "planner.churn_threshold", "simd.force_scalar",
+    "restore_after", "scheduler_evaluation", "simd.force_scalar",
     "fleet.readers", "fleet.pitch", "fleet.radius", "fleet.policy",
     "fleet.session", "fleet.target", "fleet.dedup_ms", "fleet.seam_tags",
     "fleet.takeover", "fleet.suspect_after", "fleet.down_after",
@@ -215,9 +206,6 @@ core::TagwatchConfig controller_config(const util::KeyValueConfig& cfg) {
   c.mode = parse_mode(cfg.get_or("mode", "tagwatch"));
   c.greedy_evaluation =
       parse_evaluation(cfg.get_or("scheduler_evaluation", "lazy"));
-  c.planner.incremental = cfg.get_bool_or("planner.incremental", false);
-  c.planner.churn_threshold =
-      double_in(cfg, "planner.churn_threshold", 0.15, 0.0, 1.0);
   // Any value is bit-identical to 1 (the differential tests enforce it);
   // raising it only buys throughput on large scenes.
   c.threads = static_cast<std::size_t>(int_in(cfg, "threads", 1, 1, 64));
