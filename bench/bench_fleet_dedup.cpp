@@ -101,7 +101,7 @@ Point run_window(util::SimDuration window, std::uint64_t seed) {
   cfg.controller.charge_compute_time = false;
   cfg.policy = core::SessionPolicy::kIndependent;
   cfg.dedup_window = window;
-  core::FleetController fleet(cfg, strip.specs, &strip.world);
+  core::FleetController fleet(cfg, strip.specs);
 
   Point p;
   p.window_ms = util::to_millis(window);

@@ -148,7 +148,7 @@ core::FleetConfig fleet_config(core::TakeoverPolicy takeover) {
 util::SimTime probe_death_time(std::uint64_t seed) {
   Strip strip(seed, util::SimTime{0});
   core::FleetController fleet(fleet_config(core::TakeoverPolicy::kNone),
-                              strip.specs, &strip.world);
+                              strip.specs);
   fleet.run_cycles(kDeathCycle);
   // 1 ms *before* the cycle boundary: reader 0 runs first in the TDM
   // rotation, so the outage covers its entire next slice (anchoring just
@@ -160,8 +160,7 @@ util::SimTime probe_death_time(std::uint64_t seed) {
 Outcome run_policy(core::TakeoverPolicy takeover, util::SimTime death_at,
                    std::uint64_t seed) {
   Strip strip(seed, death_at);
-  core::FleetController fleet(fleet_config(takeover), strip.specs,
-                              &strip.world);
+  core::FleetController fleet(fleet_config(takeover), strip.specs);
   auto sink = std::make_shared<GapSink>();
   fleet.pipeline().add_sink(sink);
 

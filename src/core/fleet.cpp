@@ -43,70 +43,17 @@ TakeoverPolicy takeover_policy_from_string(std::string_view name) {
 
 // --------------------------------------------------------------- ZoneLedger
 
-void ZoneLedger::sync() {
-  const std::vector<sim::SimTag>& tags = world_->tags();
-  if (world_->structure_epoch() != epoch_) {
-    // remove_tag() shifted indexes: stash ownership by EPC (a removed tag
-    // that re-enters keeps its owner, so its first re-sighting by another
-    // reader is still a handoff), then rebuild densely.
-    for (std::size_t i = 0; i < owner_.size(); ++i) {
-      if (owner_[i] != kUnowned) {
-        departed_.insert_or_assign(epcs_[i], owner_[i]);
-      }
-    }
-    owner_.clear();
-    epcs_.clear();
-    epoch_ = world_->structure_epoch();
-  }
-  for (std::size_t i = owner_.size(); i < tags.size(); ++i) {
-    const util::Epc& epc = tags[i].epc;
-    const auto it = departed_.find(epc);
-    if (it != departed_.end()) {
-      owner_.push_back(it->second);
-      departed_.erase(it);
-    } else {
-      owner_.push_back(kUnowned);
-    }
-    epcs_.push_back(epc);
-  }
-}
-
 std::size_t ZoneLedger::assign(const util::Epc& epc, std::size_t reader) {
-  if (world_ == nullptr) {
-    const auto it = by_epc_.find(epc);
-    const std::size_t prev = it == by_epc_.end() ? kUnowned : it->second;
-    by_epc_[epc] = reader;
-    return prev;
-  }
-  sync();
-  if (const auto idx = world_->find_tag(epc)) {
-    const std::size_t prev = owner_[*idx];
-    owner_[*idx] = reader;
-    return prev;
-  }
-  // Reading for a tag no longer in the world (removed since it was read):
-  // track it through the departed stash.
-  const auto it = departed_.find(epc);
-  const std::size_t prev = it == departed_.end() ? kUnowned : it->second;
-  departed_[epc] = reader;
-  return prev;
+  const auto [it, inserted] = owner_.try_emplace(epc, reader);
+  return inserted ? kUnowned : std::exchange(it->second, reader);
 }
 
 std::vector<util::Epc> ZoneLedger::owned_by(std::size_t reader) const {
   std::vector<util::Epc> out;
-  if (world_ == nullptr) {
-    for (const auto& [epc, owner] : by_epc_) {
-      if (owner == reader) out.push_back(epc);
-    }
-  } else {
-    for (std::size_t i = 0; i < owner_.size(); ++i) {
-      if (owner_[i] == reader) out.push_back(epcs_[i]);
-    }
-    for (const auto& [epc, owner] : departed_) {
-      if (owner == reader) out.push_back(epc);
-    }
+  for (const auto& [epc, owner] : owner_) {
+    if (owner == reader) out.push_back(epc);
   }
-  // The maps iterate in hash order; sorting keeps the orphan queue (and
+  // The map iterates in hash order; sorting keeps the orphan queue (and
   // everything downstream of it) identical across record and replay.
   std::sort(out.begin(), out.end());
   return out;
@@ -259,8 +206,8 @@ class FleetController::TapSink final : public ReadingSink {
 
 FleetController::FleetController(FleetConfig config,
                                  std::vector<FleetReaderSpec> readers,
-                                 const sim::World* world)
-    : config_(std::move(config)), ledger_(world),
+                                 const sim::World* /*world*/)
+    : config_(std::move(config)),
       health_(readers.size(), config_.resilience) {
   if (readers.empty()) {
     throw std::invalid_argument("FleetController: need at least one reader");

@@ -146,17 +146,14 @@ struct FleetCycleReport {
   }
 };
 
-/// Tracks which reader last owned each tag, for handoff detection.  Backed
-/// by a dense per-tag-index vector synced against World::structure_epoch()
-/// (exactly like the gen2 flag mirror) when a world is available; falls
-/// back to an EPC-keyed map otherwise (replay has no world).  Both paths
-/// produce identical handoff events.
+/// Tracks which reader last owned each tag, for handoff detection, keyed
+/// by EPC like every other per-tag record in Tagwatch.  A tag that leaves
+/// the scene and re-enters keeps its owner, so its first sighting by
+/// another reader is still a handoff; live and replayed runs share the
+/// one path.
 class ZoneLedger {
  public:
   static constexpr std::size_t kUnowned = static_cast<std::size_t>(-1);
-
-  /// `world` may be nullptr (EPC-map fallback) and is non-owning.
-  explicit ZoneLedger(const sim::World* world) : world_(world) {}
 
   /// Records that `reader` just read `epc`; returns the previous owner
   /// (kUnowned on first sighting).
@@ -167,16 +164,7 @@ class ZoneLedger {
   std::vector<util::Epc> owned_by(std::size_t reader) const;
 
  private:
-  void sync();
-
-  const sim::World* world_ = nullptr;
-  // Dense path (world-backed).
-  std::vector<std::size_t> owner_;
-  std::vector<util::Epc> epcs_;
-  std::unordered_map<util::Epc, std::size_t> departed_;
-  std::uint64_t epoch_ = 0;
-  // Fallback path (no world).
-  std::unordered_map<util::Epc, std::size_t> by_epc_;
+  std::unordered_map<util::Epc, std::size_t> owner_;
 };
 
 /// Per-reader availability state machine: aggregates each run cycle's
@@ -254,8 +242,9 @@ class FleetHealth {
 class FleetController {
  public:
   /// `readers` must be non-empty with non-null clients.  `world` is
-  /// optional (non-owning): when given, handoff tracking uses the dense
-  /// structure_epoch-synced ledger; replay transports pass nullptr.
+  /// unused: handoff tracking is keyed by EPC, so live and replayed fleets
+  /// run the same ledger.  The parameter stays for source compatibility
+  /// with existing callers.
   FleetController(FleetConfig config, std::vector<FleetReaderSpec> readers,
                   const sim::World* world = nullptr);
 

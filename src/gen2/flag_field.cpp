@@ -3,41 +3,44 @@
 namespace tagwatch::gen2 {
 
 void TagFlagField::sync(const sim::World& world) {
-  const std::vector<sim::SimTag>& tags = world.tags();
-  if (world.structure_epoch() != epoch_) {
-    // remove_tag() shifted indexes.  The departures log says *when* each
-    // truly removed tag lost power; entries merely reindexed (their EPC is
-    // still in the world) stash with no de-energize time and restore
-    // untouched below.
+  const std::vector<sim::TagDeparture>& log = world.departures();
+  if (departure_cursor_ < log.size()) {
+    // remove_tag() erased tags and shifted the ones behind them.  Stash the
+    // flags of every mirrored tag that departed since the last sync, with
+    // its latest power-loss time, and close the gaps: survivors keep their
+    // relative order, exactly like World::tags().  A tag that departed and
+    // came back in between is stashed too, so it still goes through
+    // power_cycle() when the growth loop below re-adds it.
     std::unordered_map<util::Epc, util::SimTime> departed_at;
-    const std::vector<sim::TagDeparture>& log = world.departures();
     for (; departure_cursor_ < log.size(); ++departure_cursor_) {
       const sim::TagDeparture& d = log[departure_cursor_];
       departed_at.insert_or_assign(d.epc, d.at);
     }
+    std::size_t kept = 0;
     for (std::size_t i = 0; i < flags_.size(); ++i) {
-      DepartedEntry entry{flags_[i], std::nullopt};
       if (const auto it = departed_at.find(epcs_[i]);
           it != departed_at.end()) {
-        entry.departed_at = it->second;
+        departed_.insert_or_assign(epcs_[i],
+                                   DepartedEntry{flags_[i], it->second});
+      } else {
+        flags_[kept] = flags_[i];
+        epcs_[kept] = epcs_[i];
+        ++kept;
       }
-      departed_.insert_or_assign(epcs_[i], std::move(entry));
     }
-    flags_.clear();
-    epcs_.clear();
-    epoch_ = world.structure_epoch();
+    flags_.resize(kept);
+    epcs_.resize(kept);
   }
-  // Pure growth: new indexes append behind the existing ones.
+  // Tags behind the survivors were added since: resume a stashed tag
+  // through the Gen2 persistence table for the de-energized gap
+  // [departed_at, now); a new one starts in the power-up state.
+  const std::vector<sim::SimTag>& tags = world.tags();
   for (std::size_t i = flags_.size(); i < tags.size(); ++i) {
     const util::Epc& epc = tags[i].epc;
     const auto it = departed_.find(epc);
     if (it != departed_.end()) {
       TagFlags flags = it->second.flags;
-      if (it->second.departed_at) {
-        // The tag spent [departed_at, now) de-energized: apply the Gen2
-        // persistence table to the gap before it rejoins the field.
-        flags.power_cycle(*it->second.departed_at, world.now(), timing_);
-      }
+      flags.power_cycle(it->second.departed_at, world.now(), timing_);
       flags_.push_back(flags);
       departed_.erase(it);
     } else {

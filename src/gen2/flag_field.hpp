@@ -3,21 +3,20 @@
 //
 // Session flags live on the *tag*, not on any reader: when several readers
 // energize overlapping zones of one World, an ACK by reader 1 flips the
-// same S2 flag reader 2 queries a moment later.  PR 5 buried this state
-// inside Gen2Reader (one reader, one mirror); the fleet refactor hoists it
-// here so N readers can be constructed over one shared field, while a
-// single-reader setup keeps a private field and behaves exactly as before.
+// same S2 flag reader 2 queries a moment later.  N readers can be
+// constructed over one shared field, while a single-reader setup keeps a
+// private field.
 //
 // The mirror is indexed like World::tags() (hot path: no hashing per slot)
-// and repairs itself lazily against World::structure_epoch().  Tags removed
-// from the world stash their flags by EPC together with the removal time
-// (from World::departures()); on re-entry the stash is restored through
-// TagFlags::power_cycle(), which applies the Gen2 persistence table to the
-// de-energized gap.
+// and follows the world through World::departures(): a removal erases the
+// departed tag's entry and the survivors close ranks in order, as they do
+// in tags(); growth appends.  Departed tags stash their flags by EPC
+// together with the removal time; on re-entry the stash is restored
+// through TagFlags::power_cycle(), which applies the Gen2 persistence
+// table to the de-energized gap.
 #pragma once
 
-#include <cstdint>
-#include <optional>
+#include <cstddef>
 #include <unordered_map>
 #include <vector>
 
@@ -35,11 +34,11 @@ class TagFlagField {
 
   const SessionTiming& timing() const noexcept { return timing_; }
 
-  /// Brings the mirror up to date with `world`: grows it for newly added
-  /// tags and remaps it after remove_tag() reindexing (detected via
-  /// World::structure_epoch()).  Flags of removed tags are stashed by EPC
-  /// with their de-energize time and resume through power_cycle() if the
-  /// tag is re-added.  Cheap no-op when nothing changed.
+  /// Brings the mirror up to date with `world`: drops the tags that
+  /// World::departures() lists since the last sync (stashing their flags
+  /// by EPC with their de-energize time) and grows it for newly added
+  /// tags, resuming stashed flags through power_cycle().  Cheap no-op when
+  /// nothing changed.
   void sync(const sim::World& world);
 
   /// Flags of the tag at dense index `i` (valid after sync()).
@@ -65,16 +64,15 @@ class TagFlagField {
  private:
   struct DepartedEntry {
     TagFlags flags;
-    /// When the tag was de-energized, or nullopt for entries stashed only
-    /// because a world reindex shifted their dense index (never unpowered).
-    std::optional<util::SimTime> departed_at;
+    /// When the tag was de-energized (its latest World::departures() entry).
+    util::SimTime departed_at;
   };
 
   SessionTiming timing_;
   std::vector<TagFlags> flags_;
+  /// EPC of each mirrored tag, so departures can be found by EPC.
   std::vector<util::Epc> epcs_;
   std::unordered_map<util::Epc, DepartedEntry> departed_;
-  std::uint64_t epoch_ = 0;
   /// Consumed prefix of World::departures().
   std::size_t departure_cursor_ = 0;
 };

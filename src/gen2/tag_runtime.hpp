@@ -1,12 +1,13 @@
 // Tag-side persistent protocol state (flags) and Select evaluation.
 //
 // Real Gen2 tags hold an SL flag and four per-session inventoried flags in
-// volatile state.  The simulator keeps them here, keyed by EPC, and applies
-// Select commands exactly as the spec's match/non-match action table does.
+// volatile state.  The simulator keeps them in TagFlags (one per tag, held
+// by gen2::TagFlagField) and applies Select commands exactly as the spec's
+// match/non-match action table does.
 #pragma once
 
 #include <array>
-#include <unordered_map>
+#include <cstddef>
 
 #include "gen2/commands.hpp"
 #include "util/epc.hpp"
@@ -120,8 +121,8 @@ struct TagFlags {
   /// once their (spec: zero-length) hold expires, S2/S3 flags reset when
   /// the outage outlasts the depowered window, and S1 relies on the decay
   /// deadline it already carries (its window ticks the same powered or
-  /// not).  A zero-length gap is a no-op — reindex stashes that never
-  /// de-energized the tag pass through unchanged.
+  /// not).  A zero-length gap (removed and re-added at one instant) is a
+  /// no-op.
   void power_cycle(util::SimTime departed_at, util::SimTime now,
                    const SessionTiming& timing) {
     if (now <= departed_at) return;
@@ -157,45 +158,5 @@ void apply_select_action(const SelectCommand& cmd, bool matched,
 void apply_select_action(const SelectCommand& cmd, bool matched,
                          TagFlags& flags, util::SimTime now,
                          const SessionTiming& timing);
-
-/// Flag store for the whole population.  Operator[] default-constructs the
-/// power-up state (SL deasserted, all sessions A), which is what a tag
-/// entering the field presents.  Retained as the differential oracle the
-/// dense TagFlagField mirror is validated against.
-class FlagStore {
- public:
-  TagFlags& operator[](const util::Epc& epc) { return flags_[epc]; }
-
-  const TagFlags* find(const util::Epc& epc) const {
-    const auto it = flags_.find(epc);
-    return it == flags_.end() ? nullptr : &it->second;
-  }
-
-  /// Broadcasts a Select to every tag in `epcs`.
-  template <typename EpcRange>
-  void broadcast_select(const SelectCommand& cmd, const EpcRange& epcs) {
-    for (const auto& epc : epcs) {
-      apply_select_action(cmd, select_matches(cmd, epc), (*this)[epc]);
-    }
-  }
-
-  /// Timed broadcast: stamps decay deadlines per `timing`.
-  template <typename EpcRange>
-  void broadcast_select(const SelectCommand& cmd, const EpcRange& epcs,
-                        util::SimTime now, const SessionTiming& timing) {
-    for (const auto& epc : epcs) {
-      apply_select_action(cmd, select_matches(cmd, epc), (*this)[epc], now,
-                          timing);
-    }
-  }
-
-  /// Drops state for tags that left the field.
-  void forget(const util::Epc& epc) { flags_.erase(epc); }
-  void clear() { flags_.clear(); }
-  std::size_t size() const noexcept { return flags_.size(); }
-
- private:
-  std::unordered_map<util::Epc, TagFlags> flags_;
-};
 
 }  // namespace tagwatch::gen2

@@ -55,19 +55,6 @@ bool World::remove_tag(const util::Epc& epc) {
   for (std::size_t i = idx; i < tags_.size(); ++i) {
     index_[tags_[i].epc] = i;
   }
-  ++structure_epoch_;  // Every index past idx just shifted.
-  return true;
-}
-
-bool World::set_tag_motion(const util::Epc& epc,
-                           std::shared_ptr<const MotionModel> motion) {
-  if (!motion) {
-    throw std::invalid_argument("World::set_tag_motion: null motion");
-  }
-  const auto it = index_.find(epc);
-  if (it == index_.end()) return false;
-  tags_[it->second].motion = std::move(motion);
-  ++mobility_epoch_;  // Indexes are untouched; only the mover set moved.
   return true;
 }
 

@@ -1,7 +1,6 @@
 // The simulated scene: tags, environmental reflectors, and the clock.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -79,16 +78,9 @@ class World {
   /// Adds an environmental reflector.
   void add_reflector(SimReflector reflector);
 
-  /// Removes a tag by EPC; returns true if it existed.
+  /// Removes a tag by EPC and logs it in departures(); returns true if it
+  /// existed.  Later tags keep their order and move down one index.
   bool remove_tag(const util::Epc& epc);
-
-  /// Replaces a tag's motion model (a stationary tag starts moving, a
-  /// mover comes to rest); returns true if the tag existed.  Bumps
-  /// mobility_epoch() — mutating tags() in place would be invisible to
-  /// epoch-synced consumers, so this is the sanctioned way to flip a
-  /// tag's mobility state mid-simulation.
-  bool set_tag_motion(const util::Epc& epc,
-                      std::shared_ptr<const MotionModel> motion);
 
   const std::vector<SimTag>& tags() const noexcept { return tags_; }
   std::vector<SimTag>& tags() noexcept { return tags_; }
@@ -107,20 +99,6 @@ class World {
     return true;
   }
 
-  /// Bumped whenever tag indexes are invalidated (remove_tag() reindexes
-  /// the tail).  Index-keyed caches (the reader's dense flag mirror)
-  /// compare this to detect that they must remap; pure growth via
-  /// add_tag() keeps old indexes valid and does NOT bump it.
-  std::uint64_t structure_epoch() const noexcept { return structure_epoch_; }
-
-  /// Bumped whenever a tag's motion model is replaced via
-  /// set_tag_motion().  structure_epoch() deliberately does NOT move on a
-  /// mobility flip (indexes stay valid), so consumers that track the
-  /// mover set — the incremental Phase-II planner, mobility-keyed caches —
-  /// watch this epoch instead; the pair (structure, mobility) changes iff
-  /// anything the planner depends on changed.
-  std::uint64_t mobility_epoch() const noexcept { return mobility_epoch_; }
-
   /// Registers a named coverage zone (fleet deployments: one per reader).
   /// Returns its index into zones().  Duplicate names throw.
   std::size_t add_zone(Zone zone);
@@ -130,9 +108,10 @@ class World {
   /// Looks up a zone by name, or nullptr.
   const Zone* find_zone(std::string_view name) const;
 
-  /// Append-only log of remove_tag() events, oldest first.  Flag mirrors
-  /// keep a cursor into this to learn *when* a tag was de-energized (the
-  /// epoch bump alone says only that indexes shifted, not at what time).
+  /// Append-only log of remove_tag() events, oldest first.  remove_tag()
+  /// shifts every later tag down one index; index-keyed mirrors (the Gen2
+  /// flag field) keep a cursor into this log to learn which tags left,
+  /// and when they were de-energized.
   const std::vector<TagDeparture>& departures() const noexcept {
     return departures_;
   }
@@ -155,8 +134,6 @@ class World {
   std::vector<TagDeparture> departures_;
   std::unordered_map<util::Epc, std::size_t> index_;
   util::SimTime now_{0};
-  std::uint64_t structure_epoch_ = 0;
-  std::uint64_t mobility_epoch_ = 0;
 };
 
 }  // namespace tagwatch::sim

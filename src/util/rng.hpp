@@ -121,9 +121,14 @@ class Rng {
     return std::uniform_real_distribution<double>(lo, hi)(engine_);
   }
 
-  /// Gaussian with the given mean and standard deviation.
+  /// Gaussian with the given mean and standard deviation; stddev 0 returns
+  /// `mean` (noise-free fixtures), still consuming the engine.  Draws a
+  /// standard normal and scales it, which is what libstdc++'s
+  /// normal_distribution(mean, stddev) computes for stddev > 0, so the
+  /// values and engine position match it bit for bit.
   double normal(double mean = 0.0, double stddev = 1.0) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    const double z = std::normal_distribution<double>()(engine_);
+    return z * stddev + mean;
   }
 
   /// Bernoulli trial with success probability p.

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <bit>
-#include <cmath>
 
 namespace tagwatch::util::simd {
 
@@ -109,26 +108,6 @@ void scalar_scatter_words(std::uint64_t* dst, const std::uint64_t* src,
   for (std::size_t k = 0; k < n_idx; ++k) dst[idx[k]] = src[idx[k]];
 }
 
-void scalar_strided_weight_decay(double* w, std::size_t stride, std::size_t n,
-                                 double factor, std::size_t skip) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i == skip) continue;
-    w[i * stride] = factor * w[i * stride];
-  }
-}
-
-std::size_t scalar_strided_match_first(const double* means,
-                                       const double* stddevs,
-                                       std::size_t stride, std::size_t n,
-                                       double value, double band_scale,
-                                       double min_stddev) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double sigma = std::max(stddevs[i * stride], min_stddev);
-    if (std::abs(value - means[i * stride]) < band_scale * sigma) return i;
-  }
-  return static_cast<std::size_t>(-1);
-}
-
 void scalar_mt64_twist(std::uint64_t* x) noexcept {
   constexpr std::size_t n = mt64::kStateWords;
   constexpr std::size_t m = mt64::kShift;
@@ -167,8 +146,6 @@ constexpr KernelTable kScalarTable = {
     &scalar_gather_and_popcount,
     &scalar_nonzero_indices,
     &scalar_scatter_words,
-    &scalar_strided_weight_decay,
-    &scalar_strided_match_first,
     &scalar_mt64_twist,
     &scalar_mt64_temper_shift,
     &scalar_window_indices_u32,
@@ -266,19 +243,6 @@ void scatter_words(std::uint64_t* dst, const std::uint64_t* src,
                    const std::size_t* idx, std::size_t n_idx,
                    std::size_t n_words) noexcept {
   resolve_active()->scatter_words(dst, src, idx, n_idx, n_words);
-}
-
-void strided_weight_decay(double* w, std::size_t stride, std::size_t n,
-                          double factor, std::size_t skip) noexcept {
-  resolve_active()->strided_weight_decay(w, stride, n, factor, skip);
-}
-
-std::size_t strided_match_first(const double* means, const double* stddevs,
-                                std::size_t stride, std::size_t n,
-                                double value, double band_scale,
-                                double min_stddev) noexcept {
-  return resolve_active()->strided_match_first(means, stddevs, stride, n,
-                                               value, band_scale, min_stddev);
 }
 
 void mt64_twist(std::uint64_t* state) noexcept {

@@ -5,11 +5,11 @@
 // Every kernel has two implementations — a portable scalar loop and an
 // AVX2 version — behind one function-pointer table selected at startup
 // from a CPUID probe.  The two implementations are *bit-identical* by
-// construction: the word kernels are pure integer AND/OR/ANDNOT/popcount,
-// and the two floating-point kernels restrict themselves to elementwise
-// single-operation IEEE math (multiply; compare against max/mul products),
-// which vectorizes without reassociation; the slot-engine kernels are
-// integer shift/AND/XOR/compare.  Differential fuzz tests
+// construction: the nine word kernels are pure integer
+// AND/OR/ANDNOT/popcount and the three slot-engine kernels are integer
+// shift/AND/XOR/compare.  A kernel earns its slot by an end-to-end
+// effect: the scalar word table pays a libgcc popcount call per word, and
+// the Gen2 kernels carry the cold-start cycle.  Differential fuzz tests
 // (test_simd.cpp) enforce the equivalence at adversarial widths, and the
 // plan-equivalence suite enforces it end to end: plans and journals are
 // byte-identical across ISAs.
@@ -110,27 +110,6 @@ void scatter_words(std::uint64_t* dst, const std::uint64_t* src,
                    const std::size_t* idx, std::size_t n_idx,
                    std::size_t n_words) noexcept;
 
-// --------------------------------------------------------- MoG kernels
-// Strided kernels over the Gaussian-component banks (doubles at a fixed
-// stride through an array-of-structs).  Both restrict themselves to
-// elementwise single-operation IEEE arithmetic, so scalar and AVX2
-// results are bit-identical — the property the Phase-I bit-identity
-// guarantee rests on.
-
-/// w[i*stride] *= factor for every i in [0, n) except i == skip (pass
-/// n or larger to decay all) — the unmatched-component weight decay
-/// w ← (1-α)w of the MoG update, one IEEE multiply per element.
-void strided_weight_decay(double* w, std::size_t stride, std::size_t n,
-                          double factor, std::size_t skip) noexcept;
-
-/// First i in [0, n) with |value - means[i*stride]| <
-/// band_scale * max(stddevs[i*stride], min_stddev), else SIZE_MAX — the
-/// linear-metric mog_find_match scan (sub/abs/max/mul/compare only).
-std::size_t strided_match_first(const double* means, const double* stddevs,
-                                std::size_t stride, std::size_t n,
-                                double value, double band_scale,
-                                double min_stddev) noexcept;
-
 // -------------------------------------------------- MT19937-64 kernels
 // The block operations of util::Rng's engine (util/rng.hpp) over the
 // 312-word MT19937-64 state, with the parameters of std::mt19937_64.  Both
@@ -211,11 +190,6 @@ struct KernelTable {
   void (*scatter_words)(std::uint64_t*, const std::uint64_t*,
                         const std::size_t*, std::size_t,
                         std::size_t) noexcept;
-  void (*strided_weight_decay)(double*, std::size_t, std::size_t, double,
-                               std::size_t) noexcept;
-  std::size_t (*strided_match_first)(const double*, const double*,
-                                     std::size_t, std::size_t, double, double,
-                                     double) noexcept;
   void (*mt64_twist)(std::uint64_t*) noexcept;
   void (*mt64_temper_shift)(const std::uint64_t*, std::size_t, unsigned,
                             std::uint32_t*) noexcept;

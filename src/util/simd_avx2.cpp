@@ -8,15 +8,13 @@
 //
 // Bit-identity with the scalar kernels is by construction: the word
 // kernels are integer AND/OR/ANDNOT plus a nibble-LUT popcount (exact),
-// the two double kernels evaluate the same elementwise IEEE expressions
-// lane-parallel with no reassociation, and the MT19937-64 kernels are the
-// scalar recurrences four words at a time.  test_simd.cpp fuzzes
+// and the MT19937-64 and window kernels are the scalar recurrences and
+// compares four or eight words at a time.  test_simd.cpp fuzzes
 // every kernel against its scalar twin at adversarial widths.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
 #endif
 
-#include <algorithm>
 #include <bit>
 
 #include "util/simd.hpp"
@@ -239,68 +237,6 @@ TAGWATCH_AVX2 void avx2_scatter_words(std::uint64_t* dst,
   for (std::size_t k = 0; k < n_idx; ++k) dst[idx[k]] = src[idx[k]];
 }
 
-TAGWATCH_AVX2 void avx2_strided_weight_decay(double* w, std::size_t stride,
-                                             std::size_t n, double factor,
-                                             std::size_t skip) noexcept {
-  if (stride < 4) {
-    // The vector path loads a full 4-double group per element; a narrower
-    // stride has no such group, so decay stays scalar (identical math).
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i == skip) continue;
-      w[i * stride] = factor * w[i * stride];
-    }
-    return;
-  }
-  const __m256d vfactor = _mm256_set1_pd(factor);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i == skip) continue;
-    double* p = w + i * stride;
-    // One component group per vector: multiply lane 0 (the weight) and
-    // blend lanes 1..3 back bit-exact — a multiply must never touch the
-    // neighboring fields (lane 3 can be a size_t bit pattern).
-    const __m256d v = _mm256_loadu_pd(p);
-    _mm256_storeu_pd(p, _mm256_blend_pd(v, _mm256_mul_pd(v, vfactor), 0x1));
-  }
-}
-
-TAGWATCH_AVX2 std::size_t avx2_strided_match_first(
-    const double* means, const double* stddevs, std::size_t stride,
-    std::size_t n, double value, double band_scale,
-    double min_stddev) noexcept {
-  const __m256d vvalue = _mm256_set1_pd(value);
-  const __m256d vscale = _mm256_set1_pd(band_scale);
-  const __m256d vmin = _mm256_set1_pd(min_stddev);
-  const __m256d sign_mask = _mm256_set1_pd(-0.0);
-  const std::int64_t s = static_cast<std::int64_t>(stride);
-  const __m256i vstride = _mm256_setr_epi64x(0, s, 2 * s, 3 * s);
-  const __m256i lane_id = _mm256_setr_epi64x(0, 1, 2, 3);
-  for (std::size_t base = 0; base < n; base += 4) {
-    const std::size_t lanes = std::min<std::size_t>(4, n - base);
-    // Lane-valid mask keeps tail gathers in bounds and tail lanes out of
-    // the match mask.
-    const __m256i valid = _mm256_cmpgt_epi64(
-        _mm256_set1_epi64x(static_cast<std::int64_t>(lanes)), lane_id);
-    const __m256d vmask = _mm256_castsi256_pd(valid);
-    const __m256d mean = _mm256_mask_i64gather_pd(
-        _mm256_setzero_pd(), means + base * stride, vstride, vmask, 8);
-    const __m256d sd = _mm256_mask_i64gather_pd(
-        _mm256_setzero_pd(), stddevs + base * stride, vstride, vmask, 8);
-    // Same elementwise expression as the scalar kernel:
-    // |value - mean| < band_scale * max(stddev, min_stddev).
-    const __m256d sigma = _mm256_max_pd(sd, vmin);
-    const __m256d band = _mm256_mul_pd(vscale, sigma);
-    const __m256d diff =
-        _mm256_andnot_pd(sign_mask, _mm256_sub_pd(vvalue, mean));
-    const __m256d lt = _mm256_cmp_pd(diff, band, _CMP_LT_OQ);
-    const unsigned hits = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_and_pd(lt, vmask)));
-    if (hits != 0) {
-      return base + static_cast<std::size_t>(std::countr_zero(hits));
-    }
-  }
-  return static_cast<std::size_t>(-1);
-}
-
 /// Four twist steps: x[k..k+4) from x[k..k+5) and x[far..far+4).  The
 /// caller keeps `far` on words that are final for this block.
 TAGWATCH_AVX2 inline void mt64_twist4(std::uint64_t* x, std::size_t k,
@@ -411,8 +347,6 @@ constexpr KernelTable kAvx2Table = {
     &avx2_gather_and_popcount,
     &avx2_nonzero_indices,
     &avx2_scatter_words,
-    &avx2_strided_weight_decay,
-    &avx2_strided_match_first,
     &avx2_mt64_twist,
     &avx2_mt64_temper_shift,
     &avx2_window_indices_u32,

@@ -100,14 +100,14 @@ TEST(FleetController, SessionPolicyAssignsPerReaderSessions) {
   FleetBed bed(2, 2, 0);
   FleetConfig cfg = short_fleet_config();
   cfg.policy = SessionPolicy::kPerReader;
-  FleetController fleet(cfg, bed.specs, &bed.world);
+  FleetController fleet(cfg, bed.specs);
   EXPECT_EQ(fleet.reader_session(0), gen2::Session::kS0);
   EXPECT_EQ(fleet.reader_session(1), gen2::Session::kS1);
 
   cfg.policy = SessionPolicy::kShared;
   cfg.shared_session = gen2::Session::kS3;
   FleetBed bed2(2, 2, 0);
-  FleetController shared(cfg, bed2.specs, &bed2.world);
+  FleetController shared(cfg, bed2.specs);
   EXPECT_EQ(shared.reader_session(0), gen2::Session::kS3);
   EXPECT_EQ(shared.reader_session(1), gen2::Session::kS3);
   EXPECT_EQ(shared.journal().setup.policy, "shared");
@@ -119,7 +119,7 @@ TEST(FleetController, PlannerConfigPropagatesToEveryReader) {
   const InventoryCostModel cost(/*tau0_s=*/0.005, /*taubar_s=*/0.001);
   cfg.controller.cost_model = cost;
   cfg.controller.greedy_evaluation = GreedyEvaluation::kDense;
-  FleetController fleet(cfg, bed.specs, &bed.world);
+  FleetController fleet(cfg, bed.specs);
   for (std::size_t r = 0; r < 2; ++r) {
     EXPECT_EQ(fleet.controller(r).config().greedy_evaluation,
               GreedyEvaluation::kDense);
@@ -163,7 +163,7 @@ TEST(SessionPolicy, NamesRoundTrip) {
 
 TEST(FleetController, SingleReaderFleetNeverDeduplicates) {
   FleetBed bed(1, 6, 0);
-  FleetController fleet(short_fleet_config(), bed.specs, &bed.world);
+  FleetController fleet(short_fleet_config(), bed.specs);
   const auto reports = fleet.run_cycles(2);
   for (const FleetCycleReport& r : reports) {
     EXPECT_GT(r.readings_total, 0u);
@@ -181,7 +181,7 @@ TEST(FleetController, SeamReadingsAreDedupedAcrossReaders) {
   FleetBed bed(2, 4, 2);
   FleetConfig cfg = short_fleet_config();
   cfg.dedup_window = util::sec(30);  // everything in one window
-  FleetController fleet(cfg, bed.specs, &bed.world);
+  FleetController fleet(cfg, bed.specs);
 
   const FleetCycleReport r = fleet.run_cycle();
   // Reader 0 delivered the seam tags first; every later sighting of them
@@ -201,7 +201,7 @@ TEST(FleetController, HandoffFiresWhenAnotherReaderDeliversTheTag) {
   FleetBed bed(2, 2, 1);
   FleetConfig cfg = short_fleet_config();
   cfg.dedup_window = util::SimDuration::zero();  // dedup off: seam flaps
-  FleetController fleet(cfg, bed.specs, &bed.world);
+  FleetController fleet(cfg, bed.specs);
 
   const FleetCycleReport first = fleet.run_cycle();
   // Reader 0 claimed the seam tag; reader 1's delivered sighting hands it
@@ -227,6 +227,29 @@ TEST(FleetController, HandoffFiresWhenAnotherReaderDeliversTheTag) {
   EXPECT_EQ(h_records, 3u);
 }
 
+TEST(FleetController, ReenteringTagKeepsItsOwnerAcrossRemoval) {
+  FleetBed bed(2, 2, 0);
+  FleetConfig cfg = short_fleet_config();
+  cfg.dedup_window = util::SimDuration::zero();
+  FleetController fleet(cfg, bed.specs);
+
+  // Tag 1 sits in zone 0 only: reader 0 owns it, nothing is handed off.
+  const util::Epc epc = util::Epc::from_serial(1);
+  EXPECT_TRUE(fleet.run_cycle().handoffs.empty());
+
+  // It leaves the scene for a cycle, then re-enters inside zone 1 only.
+  // The ledger still names reader 0, so reader 1's first delivery is a
+  // handoff even though the world reindexed every tag behind it.
+  ASSERT_TRUE(bed.world.remove_tag(epc));
+  EXPECT_TRUE(fleet.run_cycle().handoffs.empty());
+  bed.add_static(1, {4.0, 0.2, 0});
+  const FleetCycleReport back = fleet.run_cycle();
+  ASSERT_EQ(back.handoffs.size(), 1u);
+  EXPECT_EQ(back.handoffs[0].epc, epc);
+  EXPECT_EQ(back.handoffs[0].from_reader, 0u);
+  EXPECT_EQ(back.handoffs[0].to_reader, 1u);
+}
+
 TEST(FleetController, SharedSessionReadsThePopulationOnce) {
   // Both readers fully overlap (one zone position) and inventory one S2
   // session without re-arming: reader 0's ACKs flip every tag to B, so
@@ -243,7 +266,7 @@ TEST(FleetController, SharedSessionReadsThePopulationOnce) {
   FleetConfig cfg = short_fleet_config();
   cfg.policy = SessionPolicy::kShared;
   cfg.shared_session = gen2::Session::kS2;
-  FleetController fleet(cfg, bed.specs, &bed.world);
+  FleetController fleet(cfg, bed.specs);
 
   const FleetCycleReport first = fleet.run_cycle();
   EXPECT_EQ(first.readers[0].report.phase1_readings, 8u);
@@ -255,7 +278,7 @@ TEST(FleetController, SharedSessionReadsThePopulationOnce) {
 
 TEST(FleetController, IndependentPolicyRereadsEveryCycle) {
   FleetBed bed(2, 3, 0);
-  FleetController fleet(short_fleet_config(), bed.specs, &bed.world);
+  FleetController fleet(short_fleet_config(), bed.specs);
   for (const FleetCycleReport& r : fleet.run_cycles(2)) {
     EXPECT_EQ(r.readers[0].report.phase1_readings, 3u);
     EXPECT_EQ(r.readers[1].report.phase1_readings, 3u);
@@ -266,7 +289,7 @@ TEST(FleetController, IndependentPolicyRereadsEveryCycle) {
 
 TEST(FleetController, FleetPipelineStatsAttributePerReader) {
   FleetBed bed(2, 3, 0);  // disjoint zones: both readers deliver
-  FleetController fleet(short_fleet_config(), bed.specs, &bed.world);
+  FleetController fleet(short_fleet_config(), bed.specs);
   std::size_t delivered = 0;
   fleet.pipeline().add_sink(std::make_shared<CallbackSink>(
       "app", [&delivered](const rf::TagReading&) { ++delivered; }));
@@ -357,7 +380,7 @@ TEST(FleetController, FourReaderRecordReplayPreservesJournalDigests) {
   cfg.policy = SessionPolicy::kIndependent;
   util::FakeWallClock record_clock(/*auto_step=*/0.001);
   cfg.controller.wall_clock = &record_clock;
-  FleetController recorded(cfg, recording_specs, &bed.world);
+  FleetController recorded(cfg, recording_specs);
   const auto recorded_reports = recorded.run_cycles(3);
   const std::uint64_t fleet_digest = fleet_journal_digest(recorded.journal());
 
@@ -377,7 +400,7 @@ TEST(FleetController, FourReaderRecordReplayPreservesJournalDigests) {
   }
   util::FakeWallClock replay_clock(/*auto_step=*/0.001);
   cfg.controller.wall_clock = &replay_clock;
-  FleetController replayed(cfg, replay_specs, /*world=*/nullptr);
+  FleetController replayed(cfg, replay_specs);
   const auto replayed_reports = replayed.run_cycles(3);
 
   EXPECT_EQ(fleet_journal_digest(replayed.journal()), fleet_digest);

@@ -190,7 +190,7 @@ util::SimTime death_before_cycle(const FleetConfig& cfg,
                                  std::size_t cycles,
                                  std::uint64_t seed = 33) {
   ChaosBed probe(std::move(tags_per_zone), {}, seed);
-  FleetController fleet(cfg, probe.specs, &probe.world);
+  FleetController fleet(cfg, probe.specs);
   fleet.run_cycles(cycles);
   return probe.injectors[0]->now() - util::msec(1);
 }
@@ -209,7 +209,7 @@ TEST(FleetFailover, DeathTriggersTakeoverAndRecoveryRestoresZones) {
   const std::vector<std::size_t> tags{3, 3, 3, 3};
   const util::SimTime death = death_before_cycle(cfg, tags, 2);
   ChaosBed bed(tags, {outage_plan(death, death + util::sec(2))});
-  FleetController fleet(cfg, bed.specs, &bed.world);
+  FleetController fleet(cfg, bed.specs);
 
   bool saw_down = false, saw_skip = false, saw_probe = false;
   bool saw_recovery = false;
@@ -273,7 +273,7 @@ TEST(FleetFailover, TakeoverRadiusBudgetCapsTheGrant) {
   const std::vector<std::size_t> tags{3, 3};
   const util::SimTime death = death_before_cycle(cfg, tags, 1);
   ChaosBed bed(tags, {outage_plan(death)});
-  FleetController fleet(cfg, bed.specs, &bed.world);
+  FleetController fleet(cfg, bed.specs);
 
   llrp::FleetTakeoverRecord grant;
   for (std::size_t c = 0; c < 6 && grant.radius_mm == 0; ++c) {
@@ -291,7 +291,7 @@ TEST(FleetFailover, StaticNeighborPolicyExpandsByTheFixedStep) {
   const std::vector<std::size_t> tags{3, 3};
   const util::SimTime death = death_before_cycle(cfg, tags, 1);
   ChaosBed bed(tags, {outage_plan(death)});
-  FleetController fleet(cfg, bed.specs, &bed.world);
+  FleetController fleet(cfg, bed.specs);
 
   llrp::FleetTakeoverRecord grant;
   for (std::size_t c = 0; c < 6 && grant.radius_mm == 0; ++c) {
@@ -307,7 +307,7 @@ TEST(FleetFailover, NoTakeoverPolicyStillAccountsOrphans) {
   const std::vector<std::size_t> tags{3, 3};
   const util::SimTime death = death_before_cycle(cfg, tags, 1);
   ChaosBed bed(tags, {outage_plan(death)});
-  FleetController fleet(cfg, bed.specs, &bed.world);
+  FleetController fleet(cfg, bed.specs);
 
   bool saw_down = false;
   for (const FleetCycleReport& r : fleet.run_cycles(8)) {
@@ -329,7 +329,7 @@ TEST(FleetFailover, RecoverQueueIsBoundedWithDropAccounting) {
   const std::vector<std::size_t> tags{5, 3};
   const util::SimTime death = death_before_cycle(cfg, tags, 1);
   ChaosBed bed(tags, {outage_plan(death)});
-  FleetController fleet(cfg, bed.specs, &bed.world);
+  FleetController fleet(cfg, bed.specs);
 
   fleet.run_cycles(8);
   const RecoverStats rs = fleet.recover_stats();
@@ -343,7 +343,7 @@ TEST(FleetFailover, RecoveredDeliveriesAreCountedInSinkStats) {
   const std::vector<std::size_t> tags{3, 3, 3, 3};
   const util::SimTime death = death_before_cycle(cfg, tags, 2);
   ChaosBed bed(tags, {outage_plan(death)});
-  FleetController fleet(cfg, bed.specs, &bed.world);
+  FleetController fleet(cfg, bed.specs);
   fleet.pipeline().add_sink(
       std::make_shared<CallbackSink>("app", [](const rf::TagReading&) {}));
 
@@ -372,7 +372,7 @@ TEST(FleetFailover, TakeoverRearmsSharedSessionExactlyOnce) {
   const std::vector<std::size_t> tags{6, 0};
   const util::SimTime death = death_before_cycle(cfg, tags, 1);
   ChaosBed bed(tags, {outage_plan(death)});
-  FleetController fleet(cfg, bed.specs, &bed.world);
+  FleetController fleet(cfg, bed.specs);
 
   const FleetCycleReport first = fleet.run_cycle();
   EXPECT_EQ(first.readers[0].report.phase1_readings, 6u);
@@ -468,7 +468,7 @@ TEST(FleetFailover, ChaosRecordReplayPreservesFleetJournalDigest) {
   FleetConfig cfg = base;
   util::FakeWallClock record_clock(/*auto_step=*/0.001);
   cfg.controller.wall_clock = &record_clock;
-  FleetController recorded(cfg, recording_specs, &bed.world);
+  FleetController recorded(cfg, recording_specs);
   const auto recorded_reports = recorded.run_cycles(8);
 
   // The chaos actually happened: a D record, takeovers, and errored
@@ -491,7 +491,7 @@ TEST(FleetFailover, ChaosRecordReplayPreservesFleetJournalDigest) {
   }
   util::FakeWallClock replay_clock(/*auto_step=*/0.001);
   cfg.controller.wall_clock = &replay_clock;
-  FleetController replayed(cfg, replay_specs, /*world=*/nullptr);
+  FleetController replayed(cfg, replay_specs);
   const auto replayed_reports = replayed.run_cycles(8);
 
   EXPECT_EQ(fleet_journal_digest(replayed.journal()),
@@ -563,7 +563,7 @@ TEST(FleetFailover, AssessorThreadCountNeverChangesTheFaultStory) {
     ChaosBed bed(tags, {outage_plan(death, death + util::sec(2))});
     FleetConfig cfg = base;
     cfg.controller.threads = threads;
-    FleetController fleet(cfg, bed.specs, &bed.world);
+    FleetController fleet(cfg, bed.specs);
     const std::string text = describe(fleet.run_cycles(12));
     const std::string csv = fleet.journal().to_csv();
     if (journal_csv.empty()) {
@@ -587,7 +587,7 @@ TEST(FleetFailover, WatchdogBudgetMarksSlowCyclesAsFailures) {
   // overruns, so every reader fails its first cycle and goes Suspect.
   cfg.resilience.reader_cycle_budget = util::msec(1);
   ChaosBed bed({2, 2});
-  FleetController fleet(cfg, bed.specs, &bed.world);
+  FleetController fleet(cfg, bed.specs);
 
   const FleetCycleReport r = fleet.run_cycle();
   for (const FleetReaderCycle& k : r.readers) {

@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "flag_store.hpp"
 #include "gen2/reader.hpp"
 #include "util/circular.hpp"
 

@@ -8,6 +8,7 @@
 #include <optional>
 #include <vector>
 
+#include "flag_store.hpp"
 #include "gen2/flag_field.hpp"
 #include "gen2/reader.hpp"
 #include "gen2/tag_runtime.hpp"
@@ -122,8 +123,8 @@ TEST(TagFlags, PowerCycleAppliesThePersistenceTable) {
   EXPECT_EQ(long_gap.session_flag(Session::kS2), InvFlag::kA);
   EXPECT_EQ(long_gap.session_flag(Session::kS3), InvFlag::kA);
 
-  // Zero-length gap: a reindex stash that never de-energized the tag must
-  // pass through unchanged, S0 included.
+  // Zero-length gap: a tag removed and re-added at one instant was never
+  // de-energized and passes through unchanged, S0 included.
   TagFlags no_gap = f;
   no_gap.power_cycle(departed, departed, timing);
   EXPECT_EQ(no_gap.session_flag(Session::kS0), InvFlag::kB);
@@ -310,9 +311,9 @@ TEST(Gen2Sessions, ReenteringTagLosesItsFlagsAfterALongOutage) {
 }
 
 TEST(Gen2Sessions, ReindexStashWithoutDepartureIsLossless) {
-  // Removing tag X reindexes tag Y's dense slot without ever de-energizing
-  // Y: the stash/restore round trip must not reset Y's S0 flag even though
-  // S0 has zero persistence.
+  // Removing tag X shifts tag Y's dense slot without ever de-energizing
+  // Y: closing the gap must not reset Y's S0 flag even though S0 has zero
+  // persistence.
   SessionBed bed(6, 1);
   QueryCommand q;
   q.session = Session::kS0;
@@ -329,6 +330,37 @@ TEST(Gen2Sessions, ReindexStashWithoutDepartureIsLossless) {
               InvFlag::kB)
         << "serial " << serial;
   }
+}
+
+TEST(Gen2Sessions, TagReaddedAtItsOldIndexStillPowerCycles) {
+  // A and B leave and A comes back before any reader syncs, landing at
+  // index 0 again: its slot looks untouched, but the departures log says
+  // it was de-energized, so S0 (zero persistence) and S2 (3 s > 2 s
+  // depowered window) must reset.
+  SessionBed bed(2, 1);
+  QueryCommand q;
+  q.session = Session::kS0;
+  EXPECT_EQ(bed.run_round(0, q), 2u);
+  q.session = Session::kS2;
+  EXPECT_EQ(bed.run_round(0, q), 2u);
+
+  const util::Epc a = util::Epc::from_serial(1);
+  ASSERT_TRUE(bed.world.remove_tag(a));
+  ASSERT_TRUE(bed.world.remove_tag(util::Epc::from_serial(2)));
+  bed.world.advance(util::sec(3));
+  sim::SimTag back;
+  back.epc = a;
+  back.motion = std::make_shared<sim::StaticMotion>(util::Vec3{0.5, 0.5, 0});
+  ASSERT_EQ(bed.world.add_tag(std::move(back)), 0u);
+
+  const TagFlags* flags = bed.readers[0]->find_flags(a);
+  ASSERT_NE(flags, nullptr);
+  EXPECT_EQ(flags->session_flag_at(Session::kS0, bed.world.now()),
+            InvFlag::kA);
+  EXPECT_EQ(flags->session_flag_at(Session::kS2, bed.world.now()),
+            InvFlag::kA);
+  EXPECT_EQ(bed.field->size(), 1u);
+  EXPECT_EQ(bed.field->departed_count(), 1u);  // B stays stashed.
 }
 
 // -------------------------------------- differential FlagStore oracle

@@ -1,6 +1,7 @@
 // Tests for Gen2 link timing and tag-side flag semantics.
 #include <gtest/gtest.h>
 
+#include "flag_store.hpp"
 #include "gen2/link_params.hpp"
 #include "gen2/tag_runtime.hpp"
 

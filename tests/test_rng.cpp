@@ -123,6 +123,35 @@ TEST_P(RngIsa, BelowNMatchesSequentialBelow) {
   }
 }
 
+/// normal(mean, stddev) must reproduce a fresh
+/// std::normal_distribution(mean, stddev) per call for stddev > 0 (values
+/// and engine position), and for stddev 0 — which the standard
+/// distribution rejects — return `mean` while consuming the engine the
+/// same way.
+TEST(Rng, NormalMatchesStdDistributionAndAcceptsZeroStddev) {
+  constexpr double kParams[][2] = {
+      {0.0, 1.0}, {3.5, 0.25}, {-40.0, 2.0}, {1e-3, 1e6}, {0.0, 1e-9}};
+  for (const std::uint64_t seed : kSeeds) {
+    Rng rng(seed);
+    std::mt19937_64 engine(seed);
+    for (int i = 0; i < 10'000; ++i) {
+      for (const auto& p : kParams) {
+        ASSERT_EQ(rng.normal(p[0], p[1]),
+                  std::normal_distribution<double>(p[0], p[1])(engine))
+            << "seed " << seed << " draw " << i;
+      }
+    }
+    EXPECT_EQ(rng.engine()(), engine());
+
+    for (int i = 0; i < 1000; ++i) {
+      const double mean = 0.5 * static_cast<double>(i) - 100.0;
+      ASSERT_EQ(rng.normal(mean, 0.0), mean) << "seed " << seed;
+      (void)std::normal_distribution<double>()(engine);
+    }
+    EXPECT_EQ(rng.engine()(), engine());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Isa, RngIsa,
                          ::testing::Values(simd::Isa::kScalar,
                                            simd::Isa::kAvx2),

@@ -144,42 +144,6 @@ TEST(World, AddFindRemove) {
   EXPECT_EQ(w.find_tag(util::Epc::from_serial(2)), 0u);
 }
 
-TEST(World, MobilityEpochTracksMotionFlipsWithoutStructuralChange) {
-  World w;
-  w.add_tag(make_tag(1, {0, 0, 0}));
-  w.add_tag(make_tag(2, {1, 0, 0}));
-  const std::uint64_t structure_before = w.structure_epoch();
-  EXPECT_EQ(w.mobility_epoch(), 0u);
-
-  // A stationary tag starts moving: observable on mobility_epoch() alone —
-  // the structure epoch must NOT move (tag indexes stay valid).
-  EXPECT_TRUE(w.set_tag_motion(
-      util::Epc::from_serial(1),
-      std::make_shared<CircularTrack>(util::Vec3{0, 0, 0}, 0.2, 0.5, 0.0)));
-  EXPECT_EQ(w.mobility_epoch(), 1u);
-  EXPECT_EQ(w.structure_epoch(), structure_before);
-
-  // The mover comes back to rest: another flip, another bump.
-  EXPECT_TRUE(w.set_tag_motion(
-      util::Epc::from_serial(1),
-      std::make_shared<StaticMotion>(util::Vec3{0.1, 0, 0})));
-  EXPECT_EQ(w.mobility_epoch(), 2u);
-  EXPECT_EQ(w.structure_epoch(), structure_before);
-
-  // Unknown tags and null motion leave the epoch alone.
-  EXPECT_FALSE(w.set_tag_motion(
-      util::Epc::from_serial(9),
-      std::make_shared<StaticMotion>(util::Vec3{0, 0, 0})));
-  EXPECT_THROW(w.set_tag_motion(util::Epc::from_serial(2), nullptr),
-               std::invalid_argument);
-  EXPECT_EQ(w.mobility_epoch(), 2u);
-
-  // Structural churn (remove) bumps structure, not mobility.
-  EXPECT_TRUE(w.remove_tag(util::Epc::from_serial(2)));
-  EXPECT_GT(w.structure_epoch(), structure_before);
-  EXPECT_EQ(w.mobility_epoch(), 2u);
-}
-
 TEST(World, RejectsDuplicatesAndNullMotion) {
   World w;
   w.add_tag(make_tag(1, {0, 0, 0}));

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -216,92 +215,6 @@ TEST_F(SimdDifferential, ScatterWords) {
                             n);
       avx2_.scatter_words(dst_v.data(), src.data(), idx.data(), idx.size(), n);
       EXPECT_EQ(dst_s, dst_v) << "n=" << n << " n_idx=" << idx.size();
-    }
-  }
-}
-
-TEST_F(SimdDifferential, StridedWeightDecay) {
-  constexpr std::size_t kStrides[] = {1, 2, 3, 4, 6};
-  for (const std::size_t stride : kStrides) {
-    for (std::size_t n = 0; n <= 9; ++n) {
-      for (std::size_t skip = 0; skip <= n + 1; ++skip) {
-        std::vector<double> bank_s(n * stride + 1);
-        for (std::size_t i = 0; i < bank_s.size(); ++i) {
-          bank_s[i] = rng_.uniform(-2.0, 2.0);
-        }
-        auto bank_v = bank_s;
-        scalar_.strided_weight_decay(bank_s.data(), stride, n, 0.999, skip);
-        avx2_.strided_weight_decay(bank_v.data(), stride, n, 0.999, skip);
-        // Bit-exact comparison, including the untouched stride gaps.
-        ASSERT_EQ(0, std::memcmp(bank_s.data(), bank_v.data(),
-                                 bank_s.size() * sizeof(double)))
-            << "stride=" << stride << " n=" << n << " skip=" << skip;
-      }
-    }
-  }
-}
-
-// The decay kernel must leave non-weight lanes bit-identical even when
-// they hold non-double payloads (GaussianComponent::count is a size_t
-// living in lane 3 of the stride-4 bank) — a multiply-by-1.0 of a NaN
-// bit pattern would not round-trip.
-TEST_F(SimdDifferential, StridedWeightDecayPreservesForeignBitPatterns) {
-  constexpr std::size_t kStride = 4;
-  constexpr std::size_t kN = 7;
-  std::vector<double> bank_s(kStride * kN);
-  for (std::size_t i = 0; i < kN; ++i) {
-    bank_s[i * kStride] = 0.5;
-    // Lanes 1..3: signaling-NaN-ish and integer bit patterns.
-    const std::uint64_t patterns[] = {0x7ff0000000000001ull,
-                                      0xfff8000000001234ull,
-                                      i};  // a raw count
-    for (std::size_t lane = 1; lane < kStride; ++lane) {
-      std::memcpy(&bank_s[i * kStride + lane], &patterns[lane - 1],
-                  sizeof(double));
-    }
-  }
-  auto bank_v = bank_s;
-  scalar_.strided_weight_decay(bank_s.data(), kStride, kN, 0.999, 2);
-  avx2_.strided_weight_decay(bank_v.data(), kStride, kN, 0.999, 2);
-  ASSERT_EQ(0, std::memcmp(bank_s.data(), bank_v.data(),
-                           bank_s.size() * sizeof(double)));
-  // And the foreign lanes are untouched relative to construction.
-  for (std::size_t i = 0; i < kN; ++i) {
-    std::uint64_t lane3;
-    std::memcpy(&lane3, &bank_s[i * kStride + 3], sizeof(double));
-    EXPECT_EQ(lane3, i);
-  }
-}
-
-TEST_F(SimdDifferential, StridedMatchFirst) {
-  constexpr std::size_t kStrides[] = {1, 2, 4, 6};
-  for (const std::size_t stride : kStrides) {
-    for (std::size_t n = 0; n <= 9; ++n) {
-      std::vector<double> means(n * stride + 1);
-      std::vector<double> stddevs(n * stride + 1);
-      for (std::size_t i = 0; i < n; ++i) {
-        means[i * stride] = rng_.uniform(-5.0, 5.0);
-        stddevs[i * stride] = rng_.uniform(0.0, 1.0);
-      }
-      for (int probe = 0; probe < 32; ++probe) {
-        const double value = rng_.uniform(-6.0, 6.0);
-        EXPECT_EQ(scalar_.strided_match_first(means.data(), stddevs.data(),
-                                              stride, n, value, 3.0, 0.03),
-                  avx2_.strided_match_first(means.data(), stddevs.data(),
-                                            stride, n, value, 3.0, 0.03))
-            << "stride=" << stride << " n=" << n << " value=" << value;
-      }
-      // Degenerate thresholds: every component matches / none matches.
-      if (n > 0) {
-        EXPECT_EQ(scalar_.strided_match_first(means.data(), stddevs.data(),
-                                              stride, n, 0.0, 1e9, 0.03),
-                  avx2_.strided_match_first(means.data(), stddevs.data(),
-                                            stride, n, 0.0, 1e9, 0.03));
-        EXPECT_EQ(scalar_.strided_match_first(means.data(), stddevs.data(),
-                                              stride, n, 1e12, 3.0, 0.03),
-                  avx2_.strided_match_first(means.data(), stddevs.data(),
-                                            stride, n, 1e12, 3.0, 0.03));
-      }
     }
   }
 }

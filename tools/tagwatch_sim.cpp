@@ -393,10 +393,7 @@ int run_fleet(const util::KeyValueConfig& cfg) {
       static_cast<std::size_t>(int_in(cfg, "fleet.probation", 2, 1, 100));
   fcfg.resilience.recover_queue_capacity = static_cast<std::size_t>(
       int_in(cfg, "fleet.recover_capacity", 1024, 1, 1000000));
-  // Replay has no world to sync the zone ledger against; the EPC-map
-  // fallback produces identical handoffs.
-  core::FleetController fleet(fcfg, specs,
-                              replay_path.empty() ? &world : nullptr);
+  core::FleetController fleet(fcfg, specs);
 
   // The fleet pipeline has no sinks until the application hangs one on it;
   // a counting sink gives the stats table its per-reader source rows.
